@@ -18,8 +18,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test smoke examples bench golden lint typecheck verify-plans \
-	chaos chaos-mem
+.PHONY: check test smoke examples bench bench-plan golden lint typecheck \
+	verify-plans chaos chaos-mem
 
 check: lint typecheck verify-plans test chaos chaos-mem smoke examples
 
@@ -77,6 +77,15 @@ chaos-mem:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -x -q
+
+# One run of the repo benchmark's planner workload (BENCHMARK.json,
+# benchmarks/e2e/README.md), appended to BENCH_PLAN_OUT.  For a local
+# before/after pair, run it a few times on each commit into two files and
+# `$(PYTHON) benchmarks/e2e/e2e_compare.py parent.jsonl change.jsonl`.
+BENCH_PLAN_OUT ?= benchmarks/e2e/out/plan_cold.jsonl
+bench-plan:
+	$(PYTHON) benchmarks/e2e/e2e_run.py --workload plan_cold \
+		--out $(BENCH_PLAN_OUT)
 
 # Regenerate the golden TPC-H plan file (review the diff before committing).
 golden:

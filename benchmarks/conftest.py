@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark module regenerates one table or figure of the paper (see
-DESIGN.md's experiment index).  The benchmarks run each experiment once per
+Each benchmark module regenerates one table or figure of the paper (named in
+the module's docstring).  The benchmarks run each experiment once per
 session (``benchmark.pedantic`` with a single round) because the interesting
 output is the reproduced table itself — printed to stdout and attached to the
 benchmark's ``extra_info`` — rather than microsecond-level timing stability.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Dict
 
 from repro.experiments import run_planner_latency
 from repro.experiments.enumeration_latency import (
@@ -30,6 +31,16 @@ from repro.experiments.enumeration_latency import (
 #: artifact (written into the working directory, i.e. the repo root under
 #: ``make smoke``).
 TRAJECTORY_JSON = Path("BENCH_planner_latency.json")
+
+
+def _recorded_planning_ms() -> Dict[str, float]:
+    """``planning_ms`` per point of the trajectory file as it stands — the
+    previous run's, which in a fresh checkout is the committed one."""
+    try:
+        points = json.loads(TRAJECTORY_JSON.read_text())["points"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {point["query"]: point["planning_ms"] for point in points}
 
 
 def test_planner_latency_overhead(benchmark, paper_stats_workload):
@@ -85,6 +96,11 @@ def test_enumeration_latency_large_topologies(benchmark):
     # Cliques have no disconnected subsets to skip, hence no latency bound.
     assert result.point("chain-12").enumeration_ms < 30
     assert result.point("star-12").enumeration_ms < 600
+    # Cost before construct: the planned point prices every variant but
+    # builds plan nodes for a small share of them (exact counts).
+    planned = result.point("chain-12")
+    assert 0 < planned.variants_constructed <= 0.15 * planned.variants_costed
+    assert result.point("clique-10").variants_costed == 0  # not planned
 
 
 def test_adaptive_speedup_gate(benchmark):
@@ -120,15 +136,23 @@ def test_planner_latency_trajectory_json(benchmark):
     The grid runs under ``TRAJECTORY_SETTINGS`` (the adaptive defaults with a
     tighter 500-pair budget, so the minutes-long exact clique mid-points fall
     back and the grid stays benchmarkable) and is written to
-    ``BENCH_planner_latency.json`` — uploaded as a CI artifact so the perf
-    trajectory of both the exact DP points and the greedy fallback points is
-    machine-readable PR over PR.
+    ``BENCH_planner_latency.json`` — committed, and uploaded as a CI artifact,
+    so the perf trajectory of both the exact DP points and the greedy
+    fallback points is machine-readable PR over PR.  Each rewritten point
+    keeps the ``planning_ms`` it replaces as ``previous_planning_ms``.
     """
+    previous = _recorded_planning_ms()
     result = benchmark.pedantic(run_adaptive_latency, rounds=1, iterations=1)
 
     print()
     print(result.to_text())
 
+    points = []
+    for point in result.points:
+        entry = point.to_dict()
+        if point.query in previous:
+            entry["previous_planning_ms"] = previous[point.query]
+        points.append(entry)
     payload = {
         "benchmark": "planner_latency_trajectory",
         "settings": {
@@ -136,7 +160,7 @@ def test_planner_latency_trajectory_json(benchmark):
             "fallback_relation_threshold":
                 TRAJECTORY_SETTINGS.fallback_relation_threshold,
         },
-        "points": [point.to_dict() for point in result.points],
+        "points": points,
     }
     TRAJECTORY_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     print("wrote %s" % TRAJECTORY_JSON.resolve())

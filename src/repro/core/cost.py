@@ -15,8 +15,23 @@ paper (Section 3.5):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Tuple
+
+#: A cost as bare ``(startup, total)`` floats — what the join enumerator
+#: prices candidates in before it decides to build a plan node.
+CostPair = Tuple[float, float]
+
+
+def _clamp_total(startup: float, total: float) -> float:
+    """The one clamp: total work is never less than its blocking part."""
+    return startup if total < startup - 1e-9 else total
+
+
+def add_pair(left: CostPair, right: CostPair) -> CostPair:
+    """``Cost.__add__`` on float pairs: same sums, same clamp, no object."""
+    startup = left[0] + right[0]
+    return startup, _clamp_total(startup, left[1] + right[1])
 
 
 @dataclass(frozen=True)
@@ -87,30 +102,20 @@ class Cost:
     total: float = 0.0
 
     def __post_init__(self) -> None:
-        # Keep in sync with the fast path in Cost._clamped.
-        if self.total < self.startup - 1e-9:
-            object.__setattr__(self, "total", self.startup)
+        object.__setattr__(self, "total",
+                           _clamp_total(self.startup, self.total))
 
-    @staticmethod
-    def _clamped(startup: float, total: float) -> "Cost":
-        """Allocation-fast constructor (runs for every candidate sub-plan):
-        builds the instance directly, applying the same clamp as
-        ``__post_init__``."""
-        if total < startup - 1e-9:
-            total = startup
-        result = object.__new__(Cost)
-        object.__setattr__(result, "startup", startup)
-        object.__setattr__(result, "total", total)
-        return result
+    def pair(self) -> CostPair:
+        """This cost as bare floats."""
+        return self.startup, self.total
 
     def __add__(self, other: "Cost") -> "Cost":
-        return Cost._clamped(self.startup + other.startup,
-                             self.total + other.total)
+        return Cost(self.startup + other.startup, self.total + other.total)
 
     def add_work(self, work: float, blocking: bool = False) -> "Cost":
         """Return a new cost with ``work`` added (optionally to startup too)."""
-        return Cost._clamped(self.startup + (work if blocking else 0.0),
-                             self.total + work)
+        return Cost(self.startup + (work if blocking else 0.0),
+                    self.total + work)
 
     def __lt__(self, other: "Cost") -> bool:
         return self.total < other.total
@@ -153,59 +158,90 @@ class CostModel:
         return Cost(work, work)
 
     # -- joins -------------------------------------------------------------
+    # The ``*_pair`` forms are the formulas (docs/enumeration.md, "Cost before
+    # construct", says who calls them); the ``Cost`` forms wrap them.
+
+    def hash_join_pair(self, build_rows: float, probe_rows: float,
+                       output_rows: float, num_clauses: int = 1,
+                       broadcast_build: bool = False) -> CostPair:
+        p = self.params
+        if broadcast_build:  # materialised (and hashed) once per worker
+            build_rows = build_rows * p.degree_of_parallelism
+        build = build_rows * p.hash_build_row_cost * max(1, num_clauses)
+        probe = probe_rows * p.hash_probe_row_cost * max(1, num_clauses)
+        emit = output_rows * p.cpu_tuple_cost
+        return build, _clamp_total(build, build + probe + emit)
 
     def hash_join(self, build_rows: float, probe_rows: float,
                   output_rows: float, num_clauses: int = 1) -> Cost:
         """Cost of a hash join given already-costed inputs."""
-        p = self.params
-        build = build_rows * p.hash_build_row_cost * max(1, num_clauses)
-        probe = probe_rows * p.hash_probe_row_cost * max(1, num_clauses)
-        emit = output_rows * p.cpu_tuple_cost
-        return Cost(build, build + probe + emit)
+        return Cost(*self.hash_join_pair(build_rows, probe_rows, output_rows,
+                                         num_clauses))
 
-    def nested_loop(self, outer_rows: float, inner_rows: float,
-                    output_rows: float, inner_rescan_cost: float = 0.0) -> Cost:
-        """Cost of a (materialised-inner) nested-loop join."""
+    def nested_loop_pair(self, outer_rows: float, inner_rows: float,
+                         output_rows: float,
+                         rescan_inner: bool = False) -> CostPair:
         p = self.params
         compare = outer_rows * inner_rows * p.nestloop_compare_cost
-        rescan = max(0.0, outer_rows - 1.0) * inner_rescan_cost
+        # Re-reading the materialised inner for every outer row but the first.
+        rescan = max(0.0, outer_rows - 1.0) * (inner_rows * p.cpu_tuple_cost) \
+            if rescan_inner else 0.0
         emit = output_rows * p.cpu_tuple_cost
-        return Cost(0.0, compare + rescan + emit)
+        return 0.0, _clamp_total(0.0, compare + rescan + emit)
+
+    def nested_loop(self, outer_rows: float, inner_rows: float,
+                    output_rows: float, rescan_inner: bool = False) -> Cost:
+        """Cost of a (materialised-inner) nested-loop join."""
+        return Cost(*self.nested_loop_pair(outer_rows, inner_rows, output_rows,
+                                           rescan_inner))
+
+    def sort_pair(self, rows: float) -> CostPair:
+        rows = max(2.0, rows)
+        work = rows * math.log2(rows) * self.params.sort_row_cost
+        return work, work
 
     def sort(self, rows: float) -> Cost:
         """Cost of sorting ``rows`` rows."""
-        rows = max(2.0, rows)
-        work = rows * math.log2(rows) * self.params.sort_row_cost
-        return Cost(work, work)
+        return Cost(*self.sort_pair(rows))
+
+    def merge_join_pair(self, left_rows: float, right_rows: float,
+                        output_rows: float, left_sort: CostPair,
+                        right_sort: CostPair) -> CostPair:
+        """Merge join given what sorting each input costs."""
+        p = self.params
+        merge = (left_rows + right_rows) * p.merge_row_cost \
+            + output_rows * p.cpu_tuple_cost
+        return add_pair(add_pair((0.0, _clamp_total(0.0, merge)), left_sort),
+                        right_sort)
 
     def merge_join(self, left_rows: float, right_rows: float,
-                   output_rows: float, left_sorted: bool = False,
-                   right_sorted: bool = False) -> Cost:
-        """Cost of a merge join, including any sorts it needs."""
-        p = self.params
-        cost = Cost(0.0, (left_rows + right_rows) * p.merge_row_cost
-                    + output_rows * p.cpu_tuple_cost)
-        if not left_sorted:
-            cost = cost + self.sort(left_rows)
-        if not right_sorted:
-            cost = cost + self.sort(right_rows)
-        return cost
+                   output_rows: float) -> Cost:
+        """Cost of a merge join, including the sort of each input."""
+        return Cost(*self.merge_join_pair(
+            left_rows, right_rows, output_rows, self.sort_pair(left_rows),
+            self.sort_pair(right_rows)))
 
     # -- exchanges ----------------------------------------------------------
 
-    def broadcast(self, rows: float, row_width: int) -> Cost:
-        """Cost of broadcasting ``rows`` to every worker."""
+    def broadcast_pair(self, rows: float, row_width: int) -> CostPair:
         p = self.params
         bytes_moved = rows * row_width * p.degree_of_parallelism
-        return Cost(0.0, bytes_moved * p.broadcast_byte_cost
-                    + rows * p.cpu_tuple_cost)
+        return 0.0, _clamp_total(0.0, bytes_moved * p.broadcast_byte_cost
+                                 + rows * p.cpu_tuple_cost)
+
+    def broadcast(self, rows: float, row_width: int) -> Cost:
+        """Cost of broadcasting ``rows`` to every worker."""
+        return Cost(*self.broadcast_pair(rows, row_width))
+
+    def redistribute_pair(self, rows: float, row_width: int) -> CostPair:
+        p = self.params
+        bytes_moved = rows * row_width
+        return 0.0, _clamp_total(0.0, bytes_moved * p.redistribute_byte_cost
+                                 + rows * p.cpu_tuple_cost)
 
     def redistribute(self, rows: float, row_width: int) -> Cost:
         """Cost of hash-redistributing ``rows`` across workers."""
-        p = self.params
-        bytes_moved = rows * row_width
-        return Cost(0.0, bytes_moved * p.redistribute_byte_cost
-                    + rows * p.cpu_tuple_cost)
+        return Cost(*self.redistribute_pair(rows, row_width))
 
     def gather(self, rows: float, row_width: int) -> Cost:
         """Cost of gathering ``rows`` to a single worker."""

@@ -26,15 +26,16 @@ only at the public seams (:class:`JoinPair` fields, plan-list dict keys).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import LruCache
 from ..storage.catalog import Catalog
 from .candidates import BloomFilterSpec
 from .cardinality import CardinalityEstimator
-from .cost import Cost, CostModel, CostParameters
-from .expressions import ColumnRef
+from .cost import Cost, CostModel, CostPair, CostParameters, add_pair
+from .expressions import ColumnRef, Predicate
 from .greedy import greedy_unordered_pairs
 from .heuristics import BfCboSettings
 from .joingraph import JoinGraph
@@ -47,8 +48,16 @@ from .plans import (
     PlanNode,
     ScanNode,
 )
-from .properties import Distribution, DistributionKind, PlanProperties
-from .query import JoinClause, JoinType, QueryBlock
+from .properties import Distribution, PlanProperties
+from .query import JoinClause, JoinType, QueryBlock, join_type_between
+
+_FILTER_ID = attrgetter("filter_id")
+_HASH, _MERGE, _LOOP = JoinMethod.HASH, JoinMethod.MERGE, JoinMethod.NESTED_LOOP
+_BROADCAST, _REDISTRIBUTE = ExchangeKind.BROADCAST, ExchangeKind.REDISTRIBUTE
+#: One physical variant of a join as the DP step prices it: (method,
+#: (redistribute both sides?, output distribution, its signature), cost of
+#: the two inputs, cost of the join's own work).
+_Variant = Tuple[JoinMethod, Tuple[bool, Distribution, Tuple], CostPair, CostPair]
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,11 @@ class EnumerationStatistics:
     plans_retained: int = 0
     plans_rejected_bloom_constraint: int = 0
     heuristic7_pruned: int = 0
+    #: Physical variants (join method x distribution strategy) priced as a
+    #: float pair, and how many of them the plan list's pre-check let through
+    #: to become plan nodes (docs/enumeration.md, "Cost before construct").
+    variants_costed: int = 0
+    variants_constructed: int = 0
     #: Ordered cross-product pairs considered while stitching disconnected
     #: components — like join_pairs_considered, this counts both orientations
     #: of each stitch step, so a query with k+1 components reports 2k.
@@ -95,19 +109,12 @@ class EnumerationStatistics:
     parallel_shards: int = 0
 
     def merge(self, other: "EnumerationStatistics") -> None:
-        """Fold a shard worker's counters into this run's totals."""
-        self.join_pairs_considered += other.join_pairs_considered
-        self.subplan_combinations += other.subplan_combinations
-        self.plans_retained += other.plans_retained
-        self.plans_rejected_bloom_constraint += \
-            other.plans_rejected_bloom_constraint
-        self.heuristic7_pruned += other.heuristic7_pruned
-        self.cross_products_stitched += other.cross_products_stitched
-        self.budget_exhausted = self.budget_exhausted or other.budget_exhausted
-        self.fallback_engaged = self.fallback_engaged or other.fallback_engaged
-        self.fallback_reason = self.fallback_reason or other.fallback_reason
-        self.greedy_merge_steps += other.greedy_merge_steps
-        self.parallel_shards += other.parallel_shards
+        """Fold a shard worker's counters into this run's totals: counts
+        add, flags and the fallback reason keep the first one set."""
+        for name, mine in vars(self).items():
+            theirs = getattr(other, name)
+            setattr(self, name, (mine or theirs)
+                    if isinstance(mine, (bool, str)) else mine + theirs)
 
 
 class EnumerationSequenceCache(LruCache):
@@ -156,21 +163,11 @@ class JoinEnumerator:
         self._pair_cache: Optional[List[JoinPair]] = None
         # (id(child), kind, keys) -> ExchangeNode.  Exchange placement is a
         # pure function of its inputs and plan nodes are immutable during
-        # planning, so identical exchanges are shared instead of rebuilt for
-        # every combination; the node value keeps its child alive, which keeps
+        # planning, so every surviving join over the same input shares one
+        # exchange node; the node value keeps its child alive, which keeps
         # the id() key stable.
         self._exchange_cache: Dict[Tuple[int, ExchangeKind, Tuple[ColumnRef, ...]],
                                    ExchangeNode] = {}
-        # Single-slot per-pair memos, keyed by pair identity (one JoinPair
-        # object is live per DP step).
-        self._residuals_memo: Tuple[Optional[JoinPair], Tuple] = (None, ())
-        self._join_columns_memo: Tuple[Optional[JoinPair], Tuple] = (None, ())
-        # (id(outer), id(inner), outer_cols, nested_loop?) -> strategy list;
-        # the hash and merge variants of one sub-plan combination share it.
-        # A sub-plan combination only recurs within one DP pair, so
-        # optimize_table clears this per pair — entries must not outlive the
-        # pair or they would pin dominated plans in memory.
-        self._strategy_cache: Dict[Tuple, List] = {}
 
     # ------------------------------------------------------------------
     # Relation-set enumeration (shared by both BF-CBO phases)
@@ -444,36 +441,197 @@ class JoinEnumerator:
         pairs = list(self.enumerate_join_pairs())
         if self.settings.parallel_workers > 1 and len(pairs) > 1:
             return self._optimize_table_sharded(table, pairs)
+        self._run_pairs(table, pairs, table)
+        return table
+
+    def _run_pairs(self, table: PlanTable, pairs: Iterable[JoinPair],
+                   results: PlanTable) -> None:
+        """The DP loop: read sub-plans from ``table``, write each union's list
+        into ``results`` — ``table`` itself on the serial walk, a shard-local
+        table in a shard worker."""
         for pair in pairs:
             self.stats.join_pairs_considered += 1
             if pair.is_cross_product:
                 self.stats.cross_products_stitched += 1
             outer_list = table.get(pair.outer_mask)
             inner_list = table.get(pair.inner_mask)
-            if not outer_list or not inner_list:
-                continue
-            self._dp_step(pair, outer_list, inner_list,
-                          table.target(pair.union_mask))
-        return table
+            if outer_list and inner_list:
+                self._dp_step(pair, outer_list, inner_list,
+                              results.target(pair.union_mask))
 
     def _dp_step(self, pair: JoinPair, outer_list: PlanList,
                  inner_list: PlanList, target: PlanList) -> None:
-        """One DP pair: combine every sub-plan pair into ``target``.
+        """One DP pair: every legal join of every sub-plan pair into ``target``.
 
         Shared verbatim by the serial loop and the shard workers — the
         bit-identical-to-serial guarantee of the sharded path rests on this
         being the only implementation of the step.
         """
-        for outer_plan in list(outer_list):
-            for inner_plan in list(inner_list):
-                self.stats.subplan_combinations += 1
-                for join_plan in self.combine(pair, outer_plan, inner_plan):
-                    if target.add(join_plan):
-                        self.stats.plans_retained += 1
+        self.stats.subplan_combinations += len(outer_list) * len(inner_list)
+        join_type = self._join_type_for(pair)
+        if join_type is not None:
+            self._offer_joins(pair, join_type, outer_list, inner_list, target)
         if self.settings.use_heuristic7:
             self.stats.heuristic7_pruned += target.apply_heuristic7(
                 self.settings.heuristic7_max_subplans)
-        self._strategy_cache.clear()
+
+    def _offer_joins(self, pair: JoinPair, join_type: JoinType,
+                     outer_list: PlanList, inner_list: PlanList,
+                     target: PlanList) -> None:
+        """The body of the step: cost before construct (docs/enumeration.md).
+
+        Whatever depends only on the pair, on the outer plan or on the inner
+        plan is derived once at that level.  Each (join method x distribution
+        strategy) variant is then priced as a ``(startup, total)`` float pair
+        — the formulas, addition order and clamps of summing :class:`Cost`
+        objects — and only a variant ``target.rejects`` lets through becomes
+        a plan node.  Variants are offered hash, merge, nested loop; within a
+        method broadcast-inner first, then redistribute-both.
+        """
+        stats = self.stats
+        model = self.cost_model
+        clauses = pair.clauses
+        num_clauses = len(clauses)
+        outer_cols, inner_cols = self._join_columns(pair)
+        residuals = self._new_residuals(pair)
+        base_rows = self.estimator.join_rows(pair.union)
+        check_ndv = self.settings.enabled
+        max_ndv = self.settings.max_build_ndv
+        # The distribution strategies, as (redistribute?, output distribution,
+        # its signature): broadcast the inner (build) side under the outer's
+        # distribution, or — equi-joins only — hash-redistribute both sides
+        # on the join columns.
+        if clauses:
+            hashed = Distribution.hashed(outer_cols)
+            shuffle_both = (True, hashed, hashed.signature())
+
+        # Once per inner plan.  Exchanges are priced here but built only
+        # under a surviving join (_exchange shares them from then on).
+        inner_sides = []
+        for plan in inner_list:
+            pending = plan.pending_blooms
+            delta_union = {alias for spec in pending for alias in spec.delta}
+            rows = plan.rows
+            reshuffle, shuffled_cost = self._priced_shuffle(plan, inner_cols)
+            inner_sides.append((
+                plan, plan.relations, pending, delta_union,
+                self._output_rows(base_rows, pending), rows,
+                add_pair(plan.cost.pair(),
+                         model.broadcast_pair(rows, plan.row_width)),
+                reshuffle, shuffled_cost, model.sort_pair(rows)))
+
+        costed = built = 0
+        for outer in outer_list:
+            # Once per outer plan.  Sorted by filter id: the resolved specs
+            # become the join's built_filters tuple, and frozenset iteration
+            # order varies with the per-process string hash seed.
+            outer_specs = sorted(outer.pending_blooms, key=_FILTER_ID)
+            outer_rows = outer.rows
+            outer_cost = outer.cost.pair()
+            outer_dist = outer.properties.distribution
+            broadcast_inner = (False, outer_dist, outer_dist.signature())
+            outer_reshuffle, outer_shuffled_cost = self._priced_shuffle(
+                outer, outer_cols)
+            outer_sort = model.sort_pair(outer_rows)
+
+            for (inner, inner_relations, inner_pending, inner_delta_union,
+                 inner_only_rows, inner_rows, broadcast_cost, inner_reshuffle,
+                 shuffled_cost, inner_sort) in inner_sides:
+                # δ-consistency (Section 3.6): an outer-side pending filter
+                # is resolved when its whole δ is on the inner side — or, the
+                # Figure 3(c) exception, when the inner side's own pending
+                # filters cover what is missing — carried along when δ and
+                # the inner side are disjoint, and illegal otherwise.
+                resolved: List[BloomFilterSpec] = []
+                pending, rows = inner_pending, inner_only_rows
+                if outer_specs:
+                    carried = []
+                    legal = True
+                    for spec in outer_specs:
+                        delta = spec.delta
+                        if delta <= inner_relations:
+                            resolved.append(spec)
+                        elif not delta & inner_relations:
+                            carried.append(spec)
+                        elif delta - inner_relations <= inner_delta_union:
+                            resolved.append(spec)
+                        else:
+                            legal = False
+                            break
+                    # Heuristic 5 re-check: a resolved filter must still fit.
+                    if not legal or (check_ndv and not all(
+                            spec.estimate.build_ndv <= max_ndv
+                            for spec in resolved)):
+                        stats.plans_rejected_bloom_constraint += 1
+                        continue
+                    if carried:
+                        pending = frozenset(carried) | inner_pending
+                        rows = self._output_rows(base_rows, pending)
+
+                # A join that resolves a filter builds it, so it must hash
+                # (Section 3.6, second constraint) — and a cross product
+                # cannot.  Any pending δ overlapping the inner side was
+                # either resolved or illegal above, so that is the whole rule.
+                via_broadcast = add_pair(outer_cost, broadcast_cost)
+                variants: List[_Variant] = []
+                if clauses:
+                    via_shuffle = add_pair(outer_shuffled_cost, shuffled_cost)
+                    variants = [
+                        (_HASH, broadcast_inner, via_broadcast,
+                         model.hash_join_pair(inner_rows, outer_rows, rows,
+                                              num_clauses, True)),
+                        (_HASH, shuffle_both, via_shuffle,
+                         model.hash_join_pair(inner_rows, outer_rows, rows,
+                                              num_clauses))]
+                if not resolved:
+                    if clauses:
+                        merge = model.merge_join_pair(
+                            outer_rows, inner_rows, rows, outer_sort,
+                            inner_sort)
+                        variants += [
+                            (_MERGE, broadcast_inner, via_broadcast, merge),
+                            (_MERGE, shuffle_both, via_shuffle, merge)]
+                    variants.append((
+                        _LOOP, broadcast_inner, via_broadcast,
+                        model.nested_loop_pair(outer_rows, inner_rows, rows,
+                                               True)))
+                extras = []
+                if resolved:
+                    extras.append(model.bloom_build(inner_rows,
+                                                    len(resolved)).pair())
+                if residuals:
+                    extras.append(model.project(rows, len(residuals)).pair())
+
+                costed += len(variants)
+                for method, strategy, inputs, work in variants:
+                    cost = add_pair(inputs, work)
+                    for extra in extras:
+                        cost = add_pair(cost, extra)
+                    shuffle, distribution, signature = strategy
+                    if target.rejects(signature, pending, cost[1], rows):
+                        continue
+                    built += 1
+                    if shuffle:
+                        outer_input = self._exchange(
+                            outer, _REDISTRIBUTE, outer_cols) \
+                            if outer_reshuffle else outer
+                        inner_input = self._exchange(
+                            inner, _REDISTRIBUTE, inner_cols) \
+                            if inner_reshuffle else inner
+                    else:
+                        outer_input = outer
+                        inner_input = self._exchange(inner, _BROADCAST, ())
+                    target.add(JoinNode(
+                        method=method, join_type=join_type, outer=outer_input,
+                        inner=inner_input, clauses=clauses,
+                        built_filters=tuple(resolved),
+                        residual_predicates=residuals, rows=rows,
+                        cost=Cost(*cost),
+                        properties=PlanProperties(distribution, pending),
+                        row_width=outer.row_width + inner.row_width))
+        stats.variants_costed += costed
+        stats.variants_constructed += built
+        stats.plans_retained += built
 
     # -- sharded DP -----------------------------------------------------------
 
@@ -565,21 +723,9 @@ class JoinEnumerator:
     def _run_shard(self, table: PlanTable, shard_pairs: List[JoinPair],
                    ) -> Tuple[Dict[int, PlanList], EnumerationStatistics]:
         """The DP loop over one shard's pairs, writing local targets."""
-        results: Dict[int, PlanList] = {}
-        for pair in shard_pairs:
-            self.stats.join_pairs_considered += 1
-            if pair.is_cross_product:
-                self.stats.cross_products_stitched += 1
-            outer_list = table.get(pair.outer_mask)
-            inner_list = table.get(pair.inner_mask)
-            if not outer_list or not inner_list:
-                continue
-            target = results.get(pair.union_mask)
-            if target is None:
-                target = PlanList()
-                results[pair.union_mask] = target
-            self._dp_step(pair, outer_list, inner_list, target)
-        return results, self.stats
+        results = PlanTable()
+        self._run_pairs(table, shard_pairs, results)
+        return results.lists, self.stats
 
     def optimize(self, base_plan_lists: Optional[Dict[FrozenSet[str], PlanList]] = None,
                  ) -> Dict[FrozenSet[str], PlanList]:
@@ -591,143 +737,28 @@ class JoinEnumerator:
         table = self.optimize_table(base_table)
         return table.to_alias_dict(self.join_graph)
 
-    # ------------------------------------------------------------------
-    # Combining two sub-plans into join plans
-    # ------------------------------------------------------------------
-
     def combine(self, pair: JoinPair, outer_plan: PlanNode,
                 inner_plan: PlanNode) -> List[PlanNode]:
-        """All legal, costed join plans for one (outer, inner) sub-plan pair."""
-        join_type = self._join_type_for(pair)
-        if join_type is None:
-            return []
-        legal, resolved, pending = self._check_bloom_constraints(
-            outer_plan, inner_plan)
-        if not legal:
-            self.stats.plans_rejected_bloom_constraint += 1
-            return []
-        if resolved and not self._resolution_allowed(resolved):
-            self.stats.plans_rejected_bloom_constraint += 1
-            return []
-        must_use_hash = bool(resolved) or self._hash_required(outer_plan,
-                                                              inner_plan)
-        methods: List[JoinMethod] = [JoinMethod.HASH]
-        if not must_use_hash and pair.clauses:
-            methods.extend([JoinMethod.MERGE, JoinMethod.NESTED_LOOP])
-        if not pair.clauses:
-            methods = [JoinMethod.NESTED_LOOP]
-        if not pair.clauses and must_use_hash:
-            return []
+        """The join plans one DP step retains for a single sub-plan pair:
+        the step itself, run on one-plan lists into an empty target."""
+        target = PlanList()
+        self._dp_step(pair, PlanList([outer_plan]), PlanList([inner_plan]),
+                      target)
+        return list(target)
 
-        rows = self._join_output_rows(pair, pending)
-        residuals = self._pair_residuals(pair)
-        plans: List[PlanNode] = []
-        for method in methods:
-            for plan in self._physical_variants(pair, method, join_type,
-                                                 outer_plan, inner_plan, rows,
-                                                 resolved, pending, residuals):
-                plans.append(plan)
-        return plans
+    # ------------------------------------------------------------------
+    # Per-pair and per-plan inputs of the step
+    # ------------------------------------------------------------------
 
-    def _pair_residuals(self, pair: JoinPair) -> Tuple:
-        """Per-pair memo of :meth:`_new_residuals` (combine runs once per
-        sub-plan combination but residuals only depend on the pair)."""
-        key, cached = self._residuals_memo
-        if key is pair:
-            return cached
-        residuals = self._new_residuals(pair)
-        self._residuals_memo = (pair, residuals)
-        return residuals
+    @staticmethod
+    def _join_type_for(pair: JoinPair) -> Optional[JoinType]:
+        """Join type of the pair; None if this orientation is illegal."""
+        return join_type_between(pair.clauses, pair.outer)
 
-    # -- join-type / legality helpers -----------------------------------------
-
-    def _join_type_for(self, pair: JoinPair) -> Optional[JoinType]:
-        """Join type of the pair; None if this orientation is illegal.
-
-        For left-outer/semi/anti joins the row-preserving (left in SQL order)
-        side must be on the probe/outer side of our physical join.  FULL
-        joins preserve *both* sides and the executor's FULL kernel pads
-        unmatched rows from either input, so both orientations are legal —
-        the DP is free to pick whichever side is the cheaper build side.
-        A pair whose clauses carry *conflicting* non-inner types (e.g. one
-        LEFT and one FULL between the same relation sets) has no
-        well-defined single-join semantics and is rejected outright.
-        """
-        join_type = JoinType.INNER
-        for clause in pair.clauses:
-            if clause.join_type is JoinType.INNER:
-                continue
-            if join_type is not JoinType.INNER \
-                    and clause.join_type is not join_type:
-                return None
-            join_type = clause.join_type
-            if clause.join_type is JoinType.FULL:
-                continue
-            preserved = clause.left.relation
-            if preserved not in pair.outer:
-                return None
-        return join_type
-
-    def _hash_required(self, outer_plan: PlanNode, inner_plan: PlanNode) -> bool:
-        """Hash join is forced whenever any pending Bloom filter's δ overlaps
-        the other side (Section 3.6, second constraint)."""
-        return any(spec.delta & inner_plan.relations
-                   for spec in outer_plan.pending_blooms)
-
-    def _check_bloom_constraints(self, outer_plan: PlanNode,
-                                 inner_plan: PlanNode,
-                                 ) -> Tuple[bool, List[BloomFilterSpec],
-                                            FrozenSet[BloomFilterSpec]]:
-        """Apply the δ-consistency rules of Section 3.6.
-
-        Returns ``(legal, resolved_specs, pending_specs)`` where
-        ``resolved_specs`` are the outer-side Bloom filters that this join will
-        build (fully or through the Figure-3 exception) and ``pending_specs``
-        is the property set of the joined sub-plan.
-        """
-        inner_relations = inner_plan.relations
-        inner_pending = inner_plan.pending_blooms
-        inner_delta_union: Set[str] = set()
-        for spec in inner_pending:
-            inner_delta_union |= spec.delta
-
-        resolved: List[BloomFilterSpec] = []
-        carried: List[BloomFilterSpec] = []
-        # Deterministic spec order: the resolved list becomes the join's
-        # built_filters tuple, and frozenset iteration order varies with the
-        # per-process string hash seed.
-        for spec in sorted(outer_plan.pending_blooms,
-                           key=lambda s: s.filter_id):
-            if spec.delta <= inner_relations:
-                # Fully resolved: every required build relation is on the
-                # inner side of this (necessarily hash) join.
-                resolved.append(spec)
-            elif spec.delta & inner_relations:
-                # Partially provided: only legal through the Figure 3(c)
-                # exception — the inner side is itself a Bloom filter sub-plan
-                # whose pending δ's cover the outstanding relations.
-                outstanding = spec.delta - inner_relations
-                if outstanding <= inner_delta_union:
-                    resolved.append(spec)
-                else:
-                    return False, [], frozenset()
-            else:
-                carried.append(spec)
-        pending = frozenset(carried) | inner_pending
-        return True, resolved, pending
-
-    def _resolution_allowed(self, resolved: Sequence[BloomFilterSpec]) -> bool:
-        """Heuristic 5 re-check at resolution time: the filter must still fit."""
-        if not self.settings.enabled:
-            return True
-        return all(spec.estimate.build_ndv <= self.settings.max_build_ndv
-                   for spec in resolved)
-
-    # -- cardinality ----------------------------------------------------------
-
-    def _join_output_rows(self, pair: JoinPair,
-                          pending: FrozenSet[BloomFilterSpec]) -> float:
-        """Estimated output rows of the joined relation.
+    @staticmethod
+    def _output_rows(join_rows: float,
+                     pending: FrozenSet[BloomFilterSpec]) -> float:
+        """Estimated output rows of a join carrying ``pending`` filters.
 
         Resolved Bloom filters contribute nothing here — once the build side is
         joined, the filter only removes rows the join would have removed anyway
@@ -735,66 +766,18 @@ class JoinEnumerator:
         cardinality estimate for the joined relation").  Unresolved filters
         keep reducing the estimate by their effective selectivity.
         """
-        rows = self.estimator.join_rows(pair.union)
         # Sorted so the float product is bitwise-stable across processes.
-        for spec in sorted(pending, key=lambda s: s.filter_id):
-            rows *= spec.estimate.effective_selectivity
-        return max(1.0, rows)
+        for spec in sorted(pending, key=_FILTER_ID):
+            join_rows *= spec.estimate.effective_selectivity
+        return max(1.0, join_rows)
 
-    def _new_residuals(self, pair: JoinPair) -> Tuple:
+    def _new_residuals(self, pair: JoinPair) -> Tuple[Predicate, ...]:
         """Residual predicates that become applicable exactly at this join."""
         now = set(self.query.residuals_applicable(pair.union))
         before = set(self.query.residuals_applicable(pair.outer))
         before |= set(self.query.residuals_applicable(pair.inner))
         return tuple(p for p in self.query.residual_predicates
                      if p in now and p not in before)
-
-    # -- physical variants (join method x distribution strategy) ----------------
-
-    def _physical_variants(self, pair: JoinPair, method: JoinMethod,
-                           join_type: JoinType, outer_plan: PlanNode,
-                           inner_plan: PlanNode, rows: float,
-                           resolved: Sequence[BloomFilterSpec],
-                           pending: FrozenSet[BloomFilterSpec],
-                           residuals: Tuple) -> Iterator[PlanNode]:
-        width = outer_plan.row_width + inner_plan.row_width
-        outer_cols, inner_cols = self._pair_join_columns(pair)
-        strategy_key = (id(outer_plan), id(inner_plan), outer_cols,
-                        method is JoinMethod.NESTED_LOOP)
-        strategies = self._strategy_cache.get(strategy_key)
-        if strategies is None:
-            strategies = self._distribution_strategies(method, outer_plan,
-                                                       inner_plan, outer_cols,
-                                                       inner_cols)
-            self._strategy_cache[strategy_key] = strategies
-        for outer_input, inner_input, distribution in strategies:
-            cost = outer_input.cost + inner_input.cost
-            cost = cost + self._join_work(method, outer_input, inner_input,
-                                          rows, len(pair.clauses))
-            if resolved:
-                cost = cost + self.cost_model.bloom_build(inner_input.rows,
-                                                          len(resolved))
-            if residuals:
-                cost = cost + self.cost_model.project(rows, len(residuals))
-            properties = PlanProperties(distribution=distribution,
-                                        pending_blooms=pending)
-            yield JoinNode(method=method, join_type=join_type,
-                           outer=outer_input, inner=inner_input,
-                           clauses=pair.clauses,
-                           built_filters=tuple(resolved),
-                           residual_predicates=residuals,
-                           rows=rows, cost=cost, properties=properties,
-                           row_width=width)
-
-    def _pair_join_columns(self, pair: JoinPair) -> Tuple[Tuple[ColumnRef, ...],
-                                                          Tuple[ColumnRef, ...]]:
-        """Per-pair memo of :meth:`_join_columns`."""
-        key, cached = self._join_columns_memo
-        if key is pair:
-            return cached
-        columns = self._join_columns(pair)
-        self._join_columns_memo = (pair, columns)
-        return columns
 
     def _join_columns(self, pair: JoinPair) -> Tuple[Tuple[ColumnRef, ...],
                                                      Tuple[ColumnRef, ...]]:
@@ -809,80 +792,36 @@ class JoinEnumerator:
                 inner_cols.append(clause.left)
         return tuple(outer_cols), tuple(inner_cols)
 
-    def _distribution_strategies(self, method: JoinMethod, outer_plan: PlanNode,
-                                 inner_plan: PlanNode,
-                                 outer_cols: Tuple[ColumnRef, ...],
-                                 inner_cols: Tuple[ColumnRef, ...],
-                                 ) -> List[Tuple[PlanNode, PlanNode, Distribution]]:
-        """Streaming strategies: broadcast the build side, or shuffle both."""
-        strategies: List[Tuple[PlanNode, PlanNode, Distribution]] = []
-        # Strategy 1: broadcast the inner (build) side.
-        broadcast_inner = self._exchange(inner_plan, ExchangeKind.BROADCAST, ())
-        strategies.append((outer_plan, broadcast_inner,
-                           outer_plan.properties.distribution))
-        # Strategy 2: hash-redistribute both sides on the join columns (only
-        # meaningful when there are join columns, i.e. not a cross product).
-        if outer_cols and method is not JoinMethod.NESTED_LOOP:
-            outer_shuffled = outer_plan
-            if not outer_plan.properties.distribution.is_hashed_on(outer_cols):
-                outer_shuffled = self._exchange(outer_plan,
-                                                ExchangeKind.REDISTRIBUTE,
-                                                outer_cols)
-            inner_shuffled = inner_plan
-            if not inner_plan.properties.distribution.is_hashed_on(inner_cols):
-                inner_shuffled = self._exchange(inner_plan,
-                                                ExchangeKind.REDISTRIBUTE,
-                                                inner_cols)
-            strategies.append((outer_shuffled, inner_shuffled,
-                               Distribution.hashed(outer_cols)))
-        return strategies
+    def _priced_shuffle(self, plan: PlanNode, columns: Tuple[ColumnRef, ...],
+                        ) -> Tuple[bool, CostPair]:
+        """Whether ``plan`` needs a redistribute exchange to be hash
+        partitioned on the join ``columns``, and what its output costs then."""
+        cost = plan.cost.pair()
+        if not columns or plan.properties.distribution.is_hashed_on(columns):
+            return False, cost
+        return True, add_pair(cost, self.cost_model.redistribute_pair(
+            plan.rows, plan.row_width))
 
     def _exchange(self, child: PlanNode, kind: ExchangeKind,
                   keys: Tuple[ColumnRef, ...]) -> ExchangeNode:
-        """Wrap ``child`` in an exchange operator and cost the data movement."""
+        """``child`` under a broadcast or redistribute exchange, costed for
+        the data movement; one shared node per distinct request."""
         cache_key = (id(child), kind, keys)
-        cached = self._exchange_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        node = self._make_exchange(child, kind, keys)
-        self._exchange_cache[cache_key] = node
+        node = self._exchange_cache.get(cache_key)
+        if node is None:
+            if kind is ExchangeKind.BROADCAST:
+                move = self.cost_model.broadcast(child.rows, child.row_width)
+                distribution = Distribution.broadcast()
+            else:
+                move = self.cost_model.redistribute(child.rows,
+                                                    child.row_width)
+                distribution = Distribution.hashed(keys)
+            node = ExchangeNode(
+                kind=kind, child=child, hash_keys=keys, rows=child.rows,
+                cost=child.cost + move, row_width=child.row_width,
+                properties=PlanProperties(distribution, child.pending_blooms))
+            self._exchange_cache[cache_key] = node
         return node
-
-    def _make_exchange(self, child: PlanNode, kind: ExchangeKind,
-                       keys: Tuple[ColumnRef, ...]) -> ExchangeNode:
-        if kind is ExchangeKind.BROADCAST:
-            move = self.cost_model.broadcast(child.rows, child.row_width)
-            distribution = Distribution.broadcast()
-        elif kind is ExchangeKind.REDISTRIBUTE:
-            move = self.cost_model.redistribute(child.rows, child.row_width)
-            distribution = Distribution.hashed(keys)
-        else:
-            move = self.cost_model.gather(child.rows, child.row_width)
-            distribution = Distribution.singleton()
-        properties = PlanProperties(distribution=distribution,
-                                    pending_blooms=child.pending_blooms)
-        return ExchangeNode(kind=kind, child=child, hash_keys=keys,
-                            rows=child.rows, cost=child.cost + move,
-                            properties=properties, row_width=child.row_width)
-
-    def _join_work(self, method: JoinMethod, outer_input: PlanNode,
-                   inner_input: PlanNode, output_rows: float,
-                   num_clauses: int) -> Cost:
-        """Cost of the join operator itself (inputs already costed)."""
-        dop = self.cost_model.params.degree_of_parallelism
-        build_rows = inner_input.rows
-        # A broadcast build side is materialised (and hashed) once per worker.
-        if inner_input.properties.distribution.kind is DistributionKind.BROADCAST:
-            build_rows = inner_input.rows * dop
-        if method is JoinMethod.HASH:
-            return self.cost_model.hash_join(build_rows, outer_input.rows,
-                                             output_rows, num_clauses)
-        if method is JoinMethod.MERGE:
-            return self.cost_model.merge_join(outer_input.rows,
-                                              inner_input.rows, output_rows)
-        inner_rescan = inner_input.rows * self.cost_model.params.cpu_tuple_cost
-        return self.cost_model.nested_loop(outer_input.rows, inner_input.rows,
-                                           output_rows, inner_rescan)
 
 
 #: Per-process shard state installed by the pool initializer:

@@ -16,9 +16,9 @@ greedy ordering; this module supplies that ordering:
 
 The output is deliberately *not* a plan: it is the same
 ``{union mask: [(left mask, right mask)]}`` structure the exact walk produces,
-one unordered split per union, so the enumerator's canonical ordering,
-``combine``/``_physical_variants`` costing and the Bloom-constraint checks of
-both BF-CBO phases run unchanged over the greedy join tree.  Disconnected
+one unordered split per union, so the enumerator's canonical ordering, the
+costing and Bloom-constraint checks of ``JoinEnumerator._dp_step`` and both
+BF-CBO phases run unchanged over the greedy join tree.  Disconnected
 components are ordered independently and stitched with the same FROM-order
 cross products as the exact path, so multi-component queries stay plannable.
 """
@@ -26,11 +26,11 @@ cross products as the exact path, so multi-component queries stay plannable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cardinality import CardinalityEstimator
 from .joingraph import JoinGraph
-from .query import JoinClause, JoinType
+from .query import JoinType, join_type_between
 
 #: Floor for selectivities/costs so rank computations never divide by zero.
 _EPSILON = 1e-12
@@ -45,9 +45,10 @@ _MAX_IKKBZ_ROOTS = 16
 def _merge_is_legal(graph: JoinGraph, left: int, right: int) -> bool:
     """True if joining ``left`` and ``right`` is legal in some orientation.
 
-    Mirrors :meth:`JoinEnumerator._join_type_for`: outer/semi/anti clauses pin
-    their row-preserving side to the probe side, and conflicting non-inner
-    types between the same two sets are unplannable in either orientation.
+    The DP step's own rule (:func:`~repro.core.query.join_type_between`):
+    outer/semi/anti clauses pin their row-preserving side to the probe side,
+    and conflicting non-inner types between the same two sets are unplannable
+    in either orientation.
     GOO must not pick such a merge — the enumerator would reject both
     orientations downstream and leave the union without a plan even though a
     different merge order (which the exact DP finds) is perfectly plannable.
@@ -58,26 +59,8 @@ def _merge_is_legal(graph: JoinGraph, left: int, right: int) -> bool:
                or (left_bit & right and right_bit & left)]
     if not clauses:
         return True  # cross product: always joinable
-    return (_orientation_is_legal(graph, clauses, left)
-            or _orientation_is_legal(graph, clauses, right))
-
-
-def _orientation_is_legal(graph: JoinGraph, clauses: Sequence[JoinClause],
-                          outer: int) -> bool:
-    join_type = JoinType.INNER
-    for clause in clauses:
-        if clause.join_type is JoinType.INNER:
-            continue
-        if join_type is not JoinType.INNER \
-                and clause.join_type is not join_type:
-            return False
-        join_type = clause.join_type
-        if clause.join_type is JoinType.FULL:
-            continue
-        preserved_bit = 1 << graph.bit_of[clause.left.relation]
-        if not preserved_bit & outer:
-            return False
-    return True
+    return (join_type_between(clauses, graph.aliases_of(left)) is not None
+            or join_type_between(clauses, graph.aliases_of(right)) is not None)
 
 
 def greedy_unordered_pairs(graph: JoinGraph,

@@ -22,7 +22,7 @@ public seams via :meth:`PlanTable.to_alias_dict`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .joingraph import JoinGraph
 from .plans import PlanNode
@@ -34,16 +34,23 @@ class PlanList:
 
     Plans are additionally bucketed by distribution signature: dominance can
     only hold between plans with the same distribution, so :meth:`add` scans
-    one bucket instead of the whole list.
+    one bucket instead of the whole list.  A bucket holds, next to each plan,
+    the scalars the dominance rule reads: ``(pending, total, rows, plan)``.
     """
 
     plans: List[PlanNode] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._buckets: Dict[Tuple, List[PlanNode]] = {}
+        self._rebuild_buckets()
+
+    def _rebuild_buckets(self) -> None:
+        self._buckets: Dict[
+            Tuple, List[Tuple[FrozenSet, float, float, PlanNode]]] = {}
         for plan in self.plans:
             self._buckets.setdefault(
-                plan.properties.distribution.signature(), []).append(plan)
+                plan.properties.distribution.signature(), []).append(
+                    (plan.properties.pending_blooms, plan.cost.total,
+                     plan.rows, plan))
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -54,47 +61,54 @@ class PlanList:
     # -- pruning rules -----------------------------------------------------
 
     @staticmethod
-    def _dominates(keeper: PlanNode, challenger: PlanNode) -> bool:
-        """True if ``keeper`` makes ``challenger`` redundant."""
-        if keeper.properties.distribution.signature() != \
-                challenger.properties.distribution.signature():
-            return False
-        keeper_pending = keeper.properties.pending_blooms
-        challenger_pending = challenger.properties.pending_blooms
-        if not keeper_pending <= challenger_pending:
-            # The keeper needs something the challenger doesn't; the challenger
-            # may still be interesting.
-            return False
-        cheaper_or_equal = keeper.cost.total <= challenger.cost.total + 1e-9
-        no_more_rows = keeper.rows <= challenger.rows + 1e-9
-        if keeper_pending == challenger_pending:
-            return cheaper_or_equal and no_more_rows
-        # The challenger requires strictly more δ relations than the keeper:
-        # it is only worth keeping if it promises strictly fewer rows
-        # (Section 3.5's immediate pruning rule).
-        return challenger.rows >= keeper.rows - 1e-9
+    def _dominates(keeper_pending: FrozenSet, keeper_total: float,
+                   keeper_rows: float, pending: FrozenSet, total: float,
+                   rows: float) -> bool:
+        """The dominance rule, on the scalars of two plans with the same
+        distribution: True if the keeper makes the challenger redundant."""
+        if keeper_pending == pending:
+            return keeper_total <= total + 1e-9 and keeper_rows <= rows + 1e-9
+        # A keeper that needs something the challenger doesn't leaves the
+        # challenger interesting.  A challenger requiring strictly more δ
+        # relations than the keeper is only worth keeping if it promises
+        # strictly fewer rows (Section 3.5's immediate pruning rule).
+        return keeper_pending <= pending and rows >= keeper_rows - 1e-9
+
+    def rejects(self, signature: Tuple, pending: FrozenSet, total: float,
+                rows: float) -> bool:
+        """Would :meth:`add` turn away a plan with these scalars?
+
+        ``signature`` is the plan's distribution signature.  The join
+        enumerator asks this before it builds the plan node.
+        """
+        dominates = self._dominates
+        for keeper_pending, keeper_total, keeper_rows, _ in \
+                self._buckets.get(signature, ()):
+            if dominates(keeper_pending, keeper_total, keeper_rows,
+                         pending, total, rows):
+                return True
+        return False
 
     def add(self, plan: PlanNode) -> bool:
         """Try to add ``plan``; returns True if it was retained."""
         signature = plan.properties.distribution.signature()
+        pending, total, rows = (plan.properties.pending_blooms,
+                                plan.cost.total, plan.rows)
+        if self.rejects(signature, pending, total, rows):
+            return False
         bucket = self._buckets.setdefault(signature, [])
-        for existing in bucket:
-            if self._dominates(existing, plan):
-                return False
-        dominated = [existing for existing in bucket
-                     if self._dominates(plan, existing)]
+        dominated = {
+            id(other)
+            for other_pending, other_total, other_rows, other in bucket
+            if self._dominates(pending, total, rows,
+                               other_pending, other_total, other_rows)}
         if dominated:
-            dominated_ids = {id(existing) for existing in dominated}
-            self.plans = [p for p in self.plans
-                          if id(p) not in dominated_ids]
-            bucket[:] = [p for p in bucket if id(p) not in dominated_ids]
+            self.plans = [p for p in self.plans if id(p) not in dominated]
+            bucket[:] = [entry for entry in bucket
+                         if id(entry[3]) not in dominated]
         self.plans.append(plan)
-        bucket.append(plan)
+        bucket.append((pending, total, rows, plan))
         return True
-
-    def add_all(self, plans: Iterable[PlanNode]) -> int:
-        """Add several plans; returns how many were retained."""
-        return sum(1 for plan in plans if self.add(plan))
 
     # -- queries --------------------------------------------------------------
 
@@ -136,7 +150,7 @@ class PlanList:
         keeper = min(bloom_plans, key=lambda p: (p.rows, p.cost.total))
         pruned = [p for p in bloom_plans if p is not keeper]
         self.plans = self.non_bloom_plans() + [keeper]
-        self.__post_init__()  # rebuild the signature buckets
+        self._rebuild_buckets()
         return len(pruned)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .expressions import (
     AggregateCall,
@@ -98,6 +98,34 @@ class JoinClause:
     def __str__(self) -> str:
         suffix = "" if self.join_type is JoinType.INNER else " [%s]" % self.join_type.value
         return "%s = %s%s" % (self.left, self.right, suffix)
+
+
+def join_type_between(clauses: Sequence[JoinClause],
+                      outer: AbstractSet[str]) -> Optional[JoinType]:
+    """Join type of the ``clauses`` connecting an outer (probe) relation set
+    to an inner one; None if this orientation is illegal.
+
+    For left-outer/semi/anti joins the row-preserving (left in SQL order)
+    side must be on the probe/outer side of our physical join.  FULL
+    joins preserve *both* sides and the executor's FULL kernel pads
+    unmatched rows from either input, so both orientations are legal —
+    the DP is free to pick whichever side is the cheaper build side.
+    Clauses carrying *conflicting* non-inner types (e.g. one LEFT and one
+    FULL between the same relation sets) have no well-defined single-join
+    semantics and are rejected outright.
+    """
+    join_type = JoinType.INNER
+    for clause in clauses:
+        if clause.join_type is JoinType.INNER:
+            continue
+        if join_type is not JoinType.INNER \
+                and clause.join_type is not join_type:
+            return None
+        join_type = clause.join_type
+        if clause.join_type is not JoinType.FULL \
+                and clause.left.relation not in outer:
+            return None
+    return join_type
 
 
 @dataclass(frozen=True)

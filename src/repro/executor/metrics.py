@@ -1,8 +1,8 @@
 """Runtime metrics: observed row counts and the simulated latency model.
 
 The paper reports wall-clock latencies on a 48-core server running GaussDB.
-Our substitution (documented in DESIGN.md) is a deterministic *work-unit*
-latency model: during execution every operator charges work proportional to
+Our substitution (docs/executor.md, "Benchmark artifact", describes how the
+scaling curves ride it) is a deterministic *work-unit* latency model: during execution every operator charges work proportional to
 the rows it actually processed, using the same constants as the optimizer's
 cost model.  This keeps the latency measurements deterministic and scale-free
 while preserving the property that matters for reproducing the paper's

@@ -109,6 +109,11 @@ class EnumerationLatencyPoint:
     #: Full planning latency; 0.0 when planning was skipped for the point
     #: (the clique DP is orders of magnitude larger than its enumeration).
     planning_ms: float = 0.0
+    #: Of the planned point's DP (0 when planning was skipped): physical
+    #: variants priced as float pairs, and how many of them the plan lists
+    #: let through to become plan nodes (docs/enumeration.md).
+    variants_costed: int = 0
+    variants_constructed: int = 0
 
 
 @dataclass
@@ -125,9 +130,10 @@ class EnumerationLatencyResult:
 
     def to_text(self) -> str:
         headers = ["query", "tables", "join pairs", "enumeration (ms)",
-                   "planning (ms)"]
+                   "planning (ms)", "variants costed", "constructed"]
         rows = [[p.query, p.num_tables, p.join_pairs,
-                 "%.2f" % p.enumeration_ms, "%.2f" % p.planning_ms]
+                 "%.2f" % p.enumeration_ms, "%.2f" % p.planning_ms,
+                 p.variants_costed, p.variants_constructed]
                 for p in self.points]
         return format_table(headers, rows,
                             title="Join enumeration latency on synthetic topologies")
@@ -287,14 +293,17 @@ def run_enumeration_latency(specs: Optional[List[Tuple[str, int]]] = None,
         catalog = build_topology_catalog(num_tables, topology)
         query = build_topology_query(num_tables, topology)
         pairs, enumeration_ms = measure_enumeration(catalog, query)
-        planning_ms = 0.0
+        point = EnumerationLatencyPoint(
+            query=query.name, num_tables=num_tables, join_pairs=pairs,
+            enumeration_ms=enumeration_ms)
         if topology in plan_topologies:
             optimizer = Optimizer(catalog)
             planned = optimizer.optimize(query, OptimizerMode.NO_BF)
-            planning_ms = planned.planning_time_ms
-        result.points.append(EnumerationLatencyPoint(
-            query=query.name, num_tables=num_tables, join_pairs=pairs,
-            enumeration_ms=enumeration_ms, planning_ms=planning_ms))
+            point.planning_ms = planned.planning_time_ms
+            point.variants_costed = planned.enumeration_stats.variants_costed
+            point.variants_constructed = \
+                planned.enumeration_stats.variants_constructed
+        result.points.append(point)
     return result
 
 

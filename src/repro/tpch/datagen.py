@@ -1,7 +1,6 @@
 """Deterministic, scaled TPC-H data generation.
 
-This generator is a substitution for the official ``dbgen`` tool (documented in
-DESIGN.md): it produces the same schema, the same key relationships (primary
+This generator is a substitution for the official ``dbgen`` tool: it produces the same schema, the same key relationships (primary
 keys, foreign keys, the ~4 lineitems per order, the 4 suppliers per part) and
 value distributions that are close enough to the specification that the
 predicate selectivities driving the paper's plan choices are preserved

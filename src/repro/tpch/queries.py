@@ -4,7 +4,7 @@ The paper evaluates the 16 TPC-H queries that involve Bloom filters (Q2-Q5,
 Q7-Q12, Q16-Q21) and omits single-table queries (Q1, Q6) and queries that
 never produce Bloom filters (Q13-Q15, Q22).  The texts below reproduce each
 analysed query's *join block* — the part the paper's per-SPJ-block costing
-operates on — with these documented simplifications (see DESIGN.md):
+operates on — with these simplifications:
 
 * correlated / nested sub-queries (Q2's min-cost sub-query, Q4/Q20-22's
   EXISTS chains, Q17/Q18's aggregated sub-queries) are replaced by the

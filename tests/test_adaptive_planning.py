@@ -362,7 +362,8 @@ class TestParallelSharding:
     def _stats_tuple(self, stats):
         return (stats.join_pairs_considered, stats.subplan_combinations,
                 stats.plans_retained, stats.plans_rejected_bloom_constraint,
-                stats.heuristic7_pruned, stats.cross_products_stitched)
+                stats.heuristic7_pruned, stats.cross_products_stitched,
+                stats.variants_costed, stats.variants_constructed)
 
     @pytest.mark.parametrize("topology,size", [("chain", 8), ("star", 7),
                                                ("clique", 5)])
@@ -394,6 +395,9 @@ class TestParallelSharding:
         sharded_best = sharded.optimize_table().get(
             sharded.join_graph.all_mask).best()
         assert sharded.stats.parallel_shards > 0
+        assert self._stats_tuple(sharded.stats) == \
+            self._stats_tuple(serial.stats)
+        assert serial.stats.variants_costed > 0
         assert explain(sharded_best) == explain(serial_best)
 
     def test_sharding_composes_with_bfcbo(self, running_example_catalog,

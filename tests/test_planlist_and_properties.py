@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ColumnRef, Cost, PlanList, PlanNode
 from repro.core.candidates import BloomFilterSpec
@@ -153,3 +155,84 @@ class TestHeuristic7:
         plan_list = PlanList()
         plan_list.add(make_plan(cost=50, rows=10, pending={make_spec("bf0", {"a"})}))
         assert plan_list.apply_heuristic7(max_bloom_subplans=4) == 0
+
+
+class _ReferencePlanList:
+    """The plan list as it was before the scalar rule and the pre-check:
+    node-to-node dominance over one flat list.  Kept as the oracle."""
+
+    def __init__(self):
+        self.plans = []
+
+    @staticmethod
+    def dominates(keeper, challenger):
+        if keeper.properties.distribution.signature() != \
+                challenger.properties.distribution.signature():
+            return False
+        keeper_pending = keeper.properties.pending_blooms
+        challenger_pending = challenger.properties.pending_blooms
+        if not keeper_pending <= challenger_pending:
+            return False
+        cheaper_or_equal = keeper.cost.total <= challenger.cost.total + 1e-9
+        no_more_rows = keeper.rows <= challenger.rows + 1e-9
+        if keeper_pending == challenger_pending:
+            return cheaper_or_equal and no_more_rows
+        return challenger.rows >= keeper.rows - 1e-9
+
+    def add(self, plan):
+        if any(self.dominates(existing, plan) for existing in self.plans):
+            return False
+        self.plans = [existing for existing in self.plans
+                      if not self.dominates(plan, existing)]
+        self.plans.append(plan)
+        return True
+
+
+_SPECS = [make_spec("bf%d" % i, {"small", "x%d" % i}) for i in range(3)]
+_DISTRIBUTIONS = [Distribution.random(), Distribution.broadcast(),
+                  Distribution.hashed((ColumnRef("t", "a"),)),
+                  Distribution.hashed((ColumnRef("t", "b"),))]
+#: Few distinct values (so candidates collide and dominate each other), some
+#: of them a hair apart to sit on both sides of the rule's 1e-9 tolerance.
+_MAGNITUDES = st.sampled_from([1.0, 1.0 + 5e-10, 1.0 + 2e-9, 2.0, 3.0, 5.0])
+_CANDIDATES = st.lists(
+    st.tuples(st.sampled_from(_DISTRIBUTIONS),
+              st.sets(st.sampled_from(_SPECS)).map(frozenset),
+              _MAGNITUDES, _MAGNITUDES),
+    max_size=40)
+
+
+class TestRejectsPreCheck:
+    @given(_CANDIDATES)
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_agrees_with_add_and_the_old_rule(self, candidates):
+        """rejects(scalars) is true exactly when add(node) would refuse, and
+        only building the nodes it lets through retains the same list as
+        adding every node — which is what the old node-to-node rule kept."""
+        add_everything = PlanList()
+        pre_checked = PlanList()
+        reference = _ReferencePlanList()
+        for distribution, pending, cost, rows in candidates:
+            plan = make_plan(cost, rows, pending, distribution)
+            signature = distribution.signature()
+            refused = add_everything.rejects(signature, pending, cost, rows)
+            assert add_everything.add(plan) == (not refused)
+            assert reference.add(plan) == (not refused)
+            if not pre_checked.rejects(signature, pending, cost, rows):
+                assert pre_checked.add(plan)
+        assert [id(p) for p in pre_checked] == \
+            [id(p) for p in add_everything] == [id(p) for p in reference.plans]
+
+    def test_heuristic7_rebuilds_the_buckets_rejects_reads(self):
+        plan_list = PlanList()
+        plan_list.add(make_plan(cost=5, rows=1_000))
+        for i, spec in enumerate(_SPECS):
+            plan_list.add(make_plan(cost=10 + i, rows=100 - i, pending={spec}))
+        signature = Distribution.random().signature()
+        pruned_spec = frozenset({_SPECS[0]})
+        assert plan_list.rejects(signature, pruned_spec, 50.0, 100.0)
+        assert plan_list.apply_heuristic7(max_bloom_subplans=2) == 2
+        # The δ={bf0} keeper is gone, so a costlier δ={bf0} plan is no longer
+        # dominated by it (the plain plan still beats anything with >= rows).
+        assert not plan_list.rejects(signature, pruned_spec, 50.0, 100.0)
+        assert plan_list.rejects(signature, pruned_spec, 50.0, 1_000.0)
