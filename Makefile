@@ -1,6 +1,7 @@
 # Developer entry points.  `make check` is the gate CI runs: the tier-1 unit
-# suite, a planner-latency smoke benchmark that fails fast if the join
-# enumeration regresses to subset scanning (see docs/enumeration.md), a
+# suite, the smoke benchmark gates (their measured ratios are recorded in
+# .benchmarks/smoke.json): a planner-latency benchmark that fails fast if the
+# join enumeration regresses to subset scanning (see docs/enumeration.md), a
 # null-overhead smoke benchmark that fails if the mask=None fast path stops
 # being free on NULL-free workloads (see docs/nulls.md), an executor
 # throughput benchmark gating the factorized join kernel and execute_many
@@ -30,7 +31,8 @@ smoke:
 	$(PYTHON) -m pytest benchmarks/test_bench_planner_latency.py \
 		benchmarks/test_bench_null_overhead.py \
 		benchmarks/test_bench_executor_throughput.py \
-		benchmarks/test_bench_serving_latency.py -x -q
+		benchmarks/test_bench_serving_latency.py -x -q \
+		--benchmark-json=.benchmarks/smoke.json
 
 examples:
 	$(PYTHON) examples/quickstart.py --scale 0.01
@@ -82,6 +84,9 @@ bench:
 # benchmarks/e2e/README.md), appended to BENCH_PLAN_OUT.  For a local
 # before/after pair, run it a few times on each commit into two files and
 # `$(PYTHON) benchmarks/e2e/e2e_compare.py parent.jsonl change.jsonl`.
+# The tracked planner trajectory is benchmarks/trajectory.jsonl: only a
+# change that claims a speed difference appends to it, one parent and one
+# change run via `BENCH_PLAN_OUT=benchmarks/trajectory.jsonl`.
 BENCH_PLAN_OUT ?= benchmarks/e2e/out/plan_cold.jsonl
 bench-plan:
 	$(PYTHON) benchmarks/e2e/e2e_run.py --workload plan_cold \

@@ -1,6 +1,6 @@
 """Benchmark gates for the partition-parallel execution subsystem.
 
-Two hard speedup gates guard the PR-5 executor work (docs/executor.md):
+Three hard speedup gates guard the executor (docs/executor.md):
 
 * **Kernel gate** — the factorized hash join kernel
   (:class:`~repro.executor.keys.CompositeKeyIndex`: factorize the build side
@@ -12,31 +12,23 @@ Two hard speedup gates guard the PR-5 executor work (docs/executor.md):
   repeated queries (serving traffic) must beat single-session sequential
   execution by >= 2x, via request collapsing plus concurrent execution in
   per-query filter scopes.
+* **Scaling gate** — morsel execution must reach >= 2x at 8 workers on the
+  join-heavy serving cycle under the deterministic per-operator scaling
+  model.
 
-A third check asserts the deterministic simulated-latency model (work units,
-Bloom probe counts) is *unchanged* by the parallel path — parallelism is a
-wall-clock optimisation only.
-
-Results are written to ``BENCH_executor_throughput.json`` (uploaded as a CI
-artifact, same pattern as ``BENCH_planner_latency.json``) so the executor's
-perf trajectory is machine-readable PR over PR.
+Each test's measured ratio lands in ``benchmark.extra_info``, which
+``--benchmark-json`` records next to the commit id.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.api import Database
 from repro.executor import sort_search_join_indices
 from repro.executor.keys import CompositeKeyIndex
-
-#: Machine-readable executor-throughput results (written into the working
-#: directory, i.e. the repo root under ``make smoke``).
-THROUGHPUT_JSON = Path("BENCH_executor_throughput.json")
 
 #: Build-side rows of the kernel microbenchmark.
 KERNEL_BUILD_ROWS = 1_000_000
@@ -48,17 +40,6 @@ KERNEL_PROBE_MORSELS = 8
 SERVING_QUERY_CYCLE = [3, 5, 10, 12, 18, 19]
 SERVING_REPEATS = 6
 SERVING_WORKERS = 8
-
-
-def _write_payload(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the shared JSON artifact."""
-    data = {}
-    if THROUGHPUT_JSON.exists():
-        data = json.loads(THROUGHPUT_JSON.read_text())
-    data.setdefault("benchmark", "executor_throughput")
-    data[section] = payload
-    THROUGHPUT_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    print("wrote %s [%s]" % (THROUGHPUT_JSON.resolve(), section))
 
 
 def test_factorized_kernel_speedup_gate(benchmark):
@@ -112,15 +93,10 @@ def test_factorized_kernel_speedup_gate(benchmark):
                                                         fact_pairs))
     print("speedup:             %7.2fx (gate: >= 2x)" % speedup)
 
-    benchmark.extra_info["kernel_speedup"] = speedup
-    _write_payload("kernel", {
-        "build_rows": KERNEL_BUILD_ROWS,
-        "probe_morsels": KERNEL_PROBE_MORSELS,
-        "matching_pairs": int(legacy_pairs),
+    benchmark.extra_info.update({
+        "kernel_speedup": speedup,
         "sort_search_ms": legacy_s * 1e3,
         "factorized_ms": fact_s * 1e3,
-        "speedup": speedup,
-        "gate": 2.0,
     })
 
     # Both kernels must agree before the speedup means anything.
@@ -167,15 +143,10 @@ def test_execute_many_throughput_gate(benchmark, bench_workload):
     print("execute_many:        %7.1f ms" % (batched_s * 1e3))
     print("speedup:             %7.2fx (gate: >= 2x)" % speedup)
 
-    benchmark.extra_info["execute_many_speedup"] = speedup
-    _write_payload("serving", {
-        "queries": len(queries),
-        "distinct_queries": len(set(numbers)),
-        "workers": SERVING_WORKERS,
+    benchmark.extra_info.update({
+        "execute_many_speedup": speedup,
         "sequential_ms": sequential_s * 1e3,
         "execute_many_ms": batched_s * 1e3,
-        "speedup": speedup,
-        "gate": 2.0,
     })
 
     # Identical rows and identical deterministic metrics, query by query.
@@ -202,17 +173,18 @@ SCALING_KINDS = ("JoinNode", "AggregateNode", "SortNode")
 def test_operator_scaling_curve_gate(benchmark, bench_workload):
     """Morsel execution >= 2x end-to-end at 8 workers on join-heavy traffic.
 
-    The wall-clock of this container is a single core, so the gate rides the
-    deterministic scaling model instead
+    Wall-clock speedup is bounded by the machine's core count (a 2-core box
+    cannot show 8-worker scaling), so the gate rides the deterministic
+    scaling model instead
     (:meth:`~repro.executor.metrics.ExecutionMetrics.simulated_latency_at`):
     every operator records the morsel-parallelisable share of its work and
     the row count it spreads over, both derived from observed row counts
     only, so the curve is identical no matter which backend executed the
     plan.  ``workers=1`` reproduces ``simulated_latency`` exactly; the gate
     demands >= 2x at 8 workers over the join-heavy serving cycle, and the
-    per-operator curves (join / aggregation / sort) land in the JSON
-    artifact PR over PR.  Wall-clock for the serial and 8-worker thread
-    runs is reported for reference, ungated.
+    per-operator speedups (join / aggregation / sort) land in
+    ``extra_info``.  Wall-clock for the serial and 8-worker thread runs is
+    recorded for reference, ungated.
     """
     database = Database(bench_workload.catalog)
     database.workload = bench_workload
@@ -262,67 +234,25 @@ def test_operator_scaling_curve_gate(benchmark, bench_workload):
         print("  %d workers: %10.1f units (%5.2fx)"
               % (workers, end_to_end[workers],
                  end_to_end[1] / end_to_end[workers]))
-    for kind, curve in curves.items():
-        print("  %-14s %5.2fx at 8 workers"
-              % (kind + ":", curve[1] / curve[8] if curve[8] else 1.0))
+    kind_speedups = {kind: curve[1] / curve[8] if curve[8] else 1.0
+                     for kind, curve in curves.items()}
+    for kind, kind_speedup in kind_speedups.items():
+        print("  %-14s %5.2fx at 8 workers" % (kind + ":", kind_speedup))
     print("wall-clock (reference): serial %.1f ms, 8-thread %.1f ms"
           % (serial_s * 1e3, threaded_s * 1e3))
     print("simulated speedup at 8 workers: %.2fx (gate: >= 2x)" % speedup)
 
-    benchmark.extra_info["scaling_speedup_8"] = speedup
-    _write_payload("scaling", {
-        "queries": ["Q%d" % number for number in SERVING_QUERY_CYCLE],
-        "morsel_size": SCALING_MORSEL,
-        "workers": list(SCALING_WORKERS),
-        "end_to_end_units": {str(w): end_to_end[w] for w in SCALING_WORKERS},
-        "operator_curves": {
-            kind: {str(w): curve[w] for w in SCALING_WORKERS}
-            for kind, curve in curves.items()},
+    benchmark.extra_info.update({
+        "scaling_speedup_8": speedup,
+        "scaling_units": {str(w): end_to_end[w] for w in SCALING_WORKERS},
         "serial_wall_ms": serial_s * 1e3,
         "threaded8_wall_ms": threaded_s * 1e3,
-        "speedup_at_8": speedup,
-        "gate": 2.0,
     })
+    for kind, kind_speedup in kind_speedups.items():
+        benchmark.extra_info["%s_speedup_8" % kind] = kind_speedup
 
     # Every operator family must actually scale (strictly below serial at 8
     # workers), and the whole workload must clear the 2x gate.
     for kind, curve in curves.items():
         assert curve[8] < curve[1], kind
     assert speedup >= 2.0
-
-
-def test_parallel_path_keeps_simulated_latency(benchmark, bench_workload):
-    """Morsel execution must not move a single simulated work unit.
-
-    Runs the serving cycle serial and with ``executor_workers=4`` at a small
-    morsel size (so every scan really splits) and asserts work units, Bloom
-    probes and row counters are identical — wall-clock parallelism only.
-    """
-    database = Database(bench_workload.catalog)
-    database.workload = bench_workload
-
-    def measure():
-        serial = database.connect(history_limit=0)
-        parallel = database.connect(history_limit=0, executor_workers=4,
-                                    morsel_size=4_096)
-        deltas = []
-        for number in SERVING_QUERY_CYCLE:
-            query = bench_workload.query(number)
-            want = serial.execute(query).execution.metrics
-            got = parallel.execute(query).execution.metrics
-            deltas.append({
-                "query": "Q%d" % number,
-                "work_units": [want.total_work_units, got.total_work_units],
-                "bloom_probes": [want.bloom_probes, got.bloom_probes],
-                "rows_scanned": [want.rows_scanned, got.rows_scanned],
-            })
-        return deltas
-
-    deltas = benchmark.pedantic(measure, rounds=1, iterations=1)
-    _write_payload("parallel_metrics", {"queries": deltas})
-    for delta in deltas:
-        for metric, values in delta.items():
-            if metric == "query":
-                continue
-            want, got = values
-            assert want == got, (delta["query"], metric)

@@ -15,33 +15,12 @@ the workload that motivated the bitmask DPccp rewrite (docs/enumeration.md).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict
-
 from repro.experiments import run_planner_latency
 from repro.experiments.enumeration_latency import (
-    TRAJECTORY_SETTINGS,
     run_adaptive_latency,
     run_adaptive_speedup,
     run_enumeration_latency,
 )
-
-#: Machine-readable planner-latency trajectory, tracked across PRs as a CI
-#: artifact (written into the working directory, i.e. the repo root under
-#: ``make smoke``).
-TRAJECTORY_JSON = Path("BENCH_planner_latency.json")
-
-
-def _recorded_planning_ms() -> Dict[str, float]:
-    """``planning_ms`` per point of the trajectory file as it stands — the
-    previous run's, which in a fresh checkout is the committed one."""
-    try:
-        points = json.loads(TRAJECTORY_JSON.read_text())["points"]
-    except (OSError, ValueError, KeyError):
-        return {}
-    return {point["query"]: point["planning_ms"] for point in points}
-
 
 def test_planner_latency_overhead(benchmark, paper_stats_workload):
     result = benchmark.pedantic(
@@ -84,6 +63,7 @@ def test_enumeration_latency_large_topologies(benchmark):
     for point in result.points:
         benchmark.extra_info["%s_enum_ms" % point.query] = point.enumeration_ms
         benchmark.extra_info["%s_plan_ms" % point.query] = point.planning_ms
+        benchmark.extra_info["%s_join_pairs" % point.query] = point.join_pairs
     # Pair counts are a pure function of the topology — pin them so a walk
     # change that silently drops or duplicates pairs fails loudly.
     assert result.point("chain-12").join_pairs == 572
@@ -130,43 +110,24 @@ def test_adaptive_speedup_gate(benchmark):
     assert result.speedup >= 10
 
 
-def test_planner_latency_trajectory_json(benchmark):
-    """Track chain/star/clique planning at n in {8, 12, 16, 20} across PRs.
+def test_planner_latency_grid(benchmark):
+    """Chain/star/clique planning at n in {8, 12, 16, 20}.
 
     The grid runs under ``TRAJECTORY_SETTINGS`` (the adaptive defaults with a
     tighter 500-pair budget, so the minutes-long exact clique mid-points fall
-    back and the grid stays benchmarkable) and is written to
-    ``BENCH_planner_latency.json`` — committed, and uploaded as a CI artifact,
-    so the perf trajectory of both the exact DP points and the greedy
-    fallback points is machine-readable PR over PR.  Each rewritten point
-    keeps the ``planning_ms`` it replaces as ``previous_planning_ms``.
+    back and the grid stays benchmarkable); every point's ``planning_ms``
+    lands in ``extra_info``, so ``--benchmark-json`` records both the exact
+    DP points and the greedy fallback points next to the commit id.
     """
-    previous = _recorded_planning_ms()
     result = benchmark.pedantic(run_adaptive_latency, rounds=1, iterations=1)
 
     print()
     print(result.to_text())
 
-    points = []
-    for point in result.points:
-        entry = point.to_dict()
-        if point.query in previous:
-            entry["previous_planning_ms"] = previous[point.query]
-        points.append(entry)
-    payload = {
-        "benchmark": "planner_latency_trajectory",
-        "settings": {
-            "enumeration_budget": TRAJECTORY_SETTINGS.enumeration_budget,
-            "fallback_relation_threshold":
-                TRAJECTORY_SETTINGS.fallback_relation_threshold,
-        },
-        "points": points,
-    }
-    TRAJECTORY_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print("wrote %s" % TRAJECTORY_JSON.resolve())
-
     for point in result.points:
         benchmark.extra_info["%s_ms" % point.query] = point.planning_ms
+        benchmark.extra_info["%s_fallback" % point.query] = \
+            point.fallback_reason
     # Every 20-relation point must have engaged the relation-threshold
     # fallback; the small chain points must have stayed exact.
     assert result.point("clique-20").fallback_reason == "relations"

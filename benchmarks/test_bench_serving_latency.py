@@ -14,25 +14,19 @@ Three gates guard the serving subsystem (docs/serving.md):
   serving tier completes fully, and its p50/p95/p99 latencies plus the
   result-cache hit rate are recorded.
 
-Results are written to ``BENCH_serving_latency.json`` (uploaded as a CI
-artifact, same pattern as ``BENCH_executor_throughput.json``).
+Each test's measured numbers land in ``benchmark.extra_info``, which
+``--benchmark-json`` records next to the commit id.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.api import Database
 from repro.serving import AsyncDatabase, TenantQuota
-
-#: Machine-readable serving-latency results (written into the working
-#: directory, i.e. the repo root under ``make smoke``).
-SERVING_JSON = Path("BENCH_serving_latency.json")
 
 #: TPC-H queries the hot tenants repeat (dashboard-style traffic).
 HOT_QUERY_CYCLE = [3, 10, 12]
@@ -46,17 +40,6 @@ SLOW_QUERY = 18
 SERVING_WORKERS = 4
 RESULT_CACHE_SIZE = 256
 HOT_SPEEDUP_GATE = 10.0
-
-
-def _write_payload(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the shared JSON artifact."""
-    data = {}
-    if SERVING_JSON.exists():
-        data = json.loads(SERVING_JSON.read_text())
-    data.setdefault("benchmark", "serving_latency")
-    data[section] = payload
-    SERVING_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    print("wrote %s [%s]" % (SERVING_JSON.resolve(), section))
 
 
 def test_result_cache_hot_speedup_gate(benchmark, bench_workload):
@@ -94,13 +77,10 @@ def test_result_cache_hot_speedup_gate(benchmark, bench_workload):
     print("speedup:             %7.1fx (gate: >= %.0fx)"
           % (speedup, HOT_SPEEDUP_GATE))
 
-    benchmark.extra_info["result_cache_speedup"] = speedup
-    _write_payload("result_cache", {
-        "queries": HOT_QUERY_CYCLE,
+    benchmark.extra_info.update({
+        "result_cache_speedup": speedup,
         "cold_ms": cold_s * 1e3,
         "hot_ms": hot_s * 1e3,
-        "speedup": speedup,
-        "gate": HOT_SPEEDUP_GATE,
     })
 
     # A hit is the same immutable execution, not a rerun.
@@ -156,11 +136,10 @@ def test_result_cache_targeted_eviction_gate(benchmark):
           % (before.result_entries, after.result_entries))
     print("targeted evictions: %d (gate: exactly 1)" % evicted)
 
-    _write_payload("targeted_eviction", {
+    benchmark.extra_info.update({
         "entries_before": before.result_entries,
         "entries_after": after.result_entries,
         "evictions": evicted,
-        "survivor_hit": bool(survivor.from_result_cache),
     })
 
     assert before.result_entries == 2
@@ -241,19 +220,12 @@ def test_serving_latency_percentiles(benchmark, bench_workload):
           % (snapshot.result_cache_hits, snapshot.completed,
              hit_rate * 100))
 
-    benchmark.extra_info["p99_ms"] = latency.p99_ms
-    benchmark.extra_info["hit_rate"] = hit_rate
-    _write_payload("latency", {
-        "requests": total,
-        "workers": SERVING_WORKERS,
+    benchmark.extra_info.update({
         "wall_ms": wall_s * 1e3,
         "p50_ms": latency.p50_ms,
         "p95_ms": latency.p95_ms,
         "p99_ms": latency.p99_ms,
-        "max_ms": latency.max_ms,
         "hit_rate": hit_rate,
-        "tenants": {name: snap.as_dict()
-                    for name, snap in snapshot.tenants.items()},
     })
 
     assert snapshot.admitted == total

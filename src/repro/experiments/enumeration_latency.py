@@ -185,17 +185,6 @@ class AdaptivePlanningPoint:
     join_pairs: int
     estimated_cost: float
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation (see ``BENCH_planner_latency.json``)."""
-        return {
-            "query": self.query,
-            "num_tables": self.num_tables,
-            "planning_ms": round(self.planning_ms, 3),
-            "fallback_reason": self.fallback_reason,
-            "join_pairs": self.join_pairs,
-            "estimated_cost": self.estimated_cost,
-        }
-
 
 @dataclass
 class AdaptiveLatencyResult:

@@ -6,9 +6,8 @@ bounded reservoir of per-request latencies and derives p50/p95/p99 on demand
 on the request hot path).  :class:`ServingMetrics` aggregates one global
 recorder, one per tenant, and the outcome counters
 (admitted/rejected/completed/cancelled/failed/retried + result-cache hits),
-snapshot
-via :meth:`ServingMetrics.snapshot` as plain frozen dataclasses that
-benchmarks serialise straight into ``BENCH_serving_latency.json``.
+snapshot via :meth:`ServingMetrics.snapshot` as plain frozen dataclasses
+that benchmarks and tests read directly.
 
 Everything here is thread-safe: worker threads record while the event loop
 snapshots.

@@ -79,7 +79,10 @@ def serial_reference(tpch_db):
     return reference
 
 
-@pytest.mark.parametrize("workers,morsel_size", [(2, 500), (4, 117)])
+#: (4, 4096) splits only the large tables at the test scale factor, so split
+#: and unsplit scans meet in one plan.
+@pytest.mark.parametrize("workers,morsel_size",
+                         [(2, 500), (4, 117), (4, 4096)])
 def test_tpch_parallel_identical_to_serial(tpch_db, serial_reference,
                                            workers, morsel_size):
     parallel = tpch_db.connect(history_limit=0, executor_workers=workers,
