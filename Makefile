@@ -19,8 +19,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test smoke examples bench bench-plan golden lint typecheck \
-	verify-plans chaos chaos-mem
+.PHONY: check test smoke examples bench bench-plan golden reproduce lint \
+	typecheck verify-plans chaos chaos-mem
 
 check: lint typecheck verify-plans test chaos chaos-mem smoke examples
 
@@ -95,3 +95,8 @@ bench-plan:
 # Regenerate the golden TPC-H plan file (review the diff before committing).
 golden:
 	$(PYTHON) scripts/dump_plan_golden.py > tests/golden/tpch_plans.txt
+
+# Regenerate the paper reproduction report (review the diff before committing;
+# only the wall-clock columns move between runs on unchanged code).
+reproduce:
+	$(PYTHON) -m repro.experiments.reproduce > docs/reproduction.md

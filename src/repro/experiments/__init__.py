@@ -1,46 +1,29 @@
-"""Experiment harnesses reproducing every table and figure of the paper."""
+"""Experiment harnesses reproducing every table and figure of the paper.
 
-from .cardinality_mae import MaeResult, run_cardinality_mae
-from .case_studies import (
-    CaseStudyResult,
-    run_case_study,
-    run_q7_case_study,
-    run_q12_case_study,
-)
+``python -m repro.experiments.reproduce`` regenerates them all as one report,
+``docs/reproduction.md``.
+"""
+
 from .delta_semantics import DeltaSemanticsResult, run_delta_semantics
 from .enumeration_latency import (
     EnumerationLatencyResult,
     run_enumeration_latency,
 )
 from .naive_blowup import BlowupResult, run_naive_blowup
-from .planner_latency import PlannerLatencyResult, run_planner_latency
-from .report import QueryRun, QueryRunner, format_table, percent_reduction, scaled_settings
 from .running_example import RunningExampleResult, run_running_example
-from .tpch_suite import SuiteResult, SuiteRow, run_tpch_suite
+from .tpch_suite import RUNS, SuiteResult, SuiteRow, run_tpch_suite
 
 __all__ = [
     "BlowupResult",
-    "CaseStudyResult",
     "DeltaSemanticsResult",
     "EnumerationLatencyResult",
-    "MaeResult",
-    "PlannerLatencyResult",
-    "QueryRun",
-    "QueryRunner",
+    "RUNS",
     "RunningExampleResult",
     "SuiteResult",
     "SuiteRow",
-    "format_table",
-    "percent_reduction",
-    "run_cardinality_mae",
-    "run_case_study",
     "run_delta_semantics",
     "run_enumeration_latency",
     "run_naive_blowup",
-    "run_planner_latency",
-    "run_q12_case_study",
-    "run_q7_case_study",
     "run_running_example",
     "run_tpch_suite",
-    "scaled_settings",
 ]

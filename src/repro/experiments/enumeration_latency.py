@@ -37,7 +37,7 @@ from ..storage.catalog import Catalog
 from ..storage.schema import make_schema
 from ..storage.statistics import synthetic_statistics
 from ..storage.types import INT64
-from .report import format_table
+from ..textutil import format_table
 
 #: The topologies the benchmark understands.
 TOPOLOGIES = ("chain", "star", "clique")

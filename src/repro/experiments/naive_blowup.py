@@ -25,7 +25,7 @@ from ..storage.catalog import Catalog
 from ..storage.schema import ForeignKey, make_schema
 from ..storage.statistics import synthetic_statistics
 from ..storage.types import INT64
-from .report import format_table
+from ..textutil import format_table
 
 
 def build_chain_catalog(num_tables: int, base_rows: int = 10_000_000) -> Catalog:

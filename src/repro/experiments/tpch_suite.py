@@ -1,168 +1,134 @@
-"""Experiment E1/E2: the TPC-H latency suite (Table 2, Table 3, Figure 5).
+"""The TPC-H suite: one pass behind every TPC-H artefact of the paper.
 
-For every analysed TPC-H query the suite plans and executes the query under
-three modes — No-BF, BF-Post and BF-CBO — and reports, per query:
+For every analysed TPC-H query :func:`run_tpch_suite` runs four
+configurations once each through the session API — No-BF, BF-Post, BF-CBO
+(paper defaults) and BF-CBO with Heuristic 7 — executing them when the
+workload holds data and only planning them on a statistics-only catalog.
+Every table and figure built from those runs is read off
+:class:`SuiteResult`:
 
-* the simulated latency normalised to the No-BF run (the paper's Figure 5 /
-  Table 2 "normalized query latency" columns),
-* the percentage reduction of BF-CBO over BF-Post,
-* the planner latencies of BF-Post and BF-CBO (Table 2's right-hand columns),
-* whether BF-CBO chose a different join order than BF-Post.
+* Table 2 / Figure 5: per-query latencies normalised to No-BF, the
+  percentage reduction of BF-CBO over BF-Post, and the workload totals;
+* Table 3: the same for BF-CBO with Heuristic 7;
+* the planner latencies of every configuration (cold: both planning caches
+  are off);
+* Section 4.2: the per-operator cardinality MAE of BF-Post and BF-CBO;
+* Figures 1 and 6: the Q12 and Q7 rows' ``QueryResult.explain()``;
+* the set of queries whose join order BF-CBO changed.
 
-Running the suite with ``heuristic7=True`` reproduces Table 3.
+Latencies are the executor's deterministic work-unit model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Set
 
+from ..api.database import Database
+from ..api.session import QueryResult
 from ..core.explain import join_order_summary
 from ..core.heuristics import BfCboSettings
 from ..core.optimizer import OptimizerMode
+from ..textutil import percent_reduction
 from ..tpch.workload import TpchWorkload
-from .report import QueryRun, QueryRunner, format_table, percent_reduction
+
+#: The four runs the suite makes of every query, in execution order.
+RUNS = ("no_bf", "bf_post", "bf_cbo", "bf_cbo_h7")
 
 
 @dataclass
 class SuiteRow:
-    """One row of the Table 2 / Table 3 reproduction."""
+    """The four runs of one query."""
 
-    query: str
-    no_bf_latency: float
-    bf_post_latency: float
-    bf_cbo_latency: float
-    bf_post_planner_ms: float
-    bf_cbo_planner_ms: float
-    bf_post_filters: int
-    bf_cbo_filters: int
-    plan_changed: bool
+    number: int
+    no_bf: QueryResult
+    bf_post: QueryResult
+    bf_cbo: QueryResult
+    bf_cbo_h7: QueryResult
 
     @property
-    def bf_post_normalized(self) -> float:
-        return self.bf_post_latency / self.no_bf_latency if self.no_bf_latency else 1.0
+    def query(self) -> str:
+        return self.no_bf.query.name
 
-    @property
-    def bf_cbo_normalized(self) -> float:
-        return self.bf_cbo_latency / self.no_bf_latency if self.no_bf_latency else 1.0
+    def changed(self, run: str = "bf_cbo") -> bool:
+        """True when the run chose a different join order than BF-Post."""
+        return (join_order_summary(getattr(self, run).optimization.join_plan)
+                != join_order_summary(self.bf_post.optimization.join_plan))
 
-    @property
-    def percent_improvement(self) -> float:
-        """% latency reduction of BF-CBO relative to BF-Post (paper's "%↓")."""
-        return percent_reduction(self.bf_post_latency, self.bf_cbo_latency)
+    def normalized(self, run: str) -> float:
+        """The run's latency relative to the No-BF run (Figure 5's bars)."""
+        baseline = self.no_bf.simulated_latency
+        return getattr(self, run).simulated_latency / baseline if baseline else 1.0
+
+    def reduction(self, baseline: str, improved: str) -> float:
+        """% latency reduction of ``improved`` over ``baseline`` (the "%↓")."""
+        return percent_reduction(getattr(self, baseline).simulated_latency,
+                                 getattr(self, improved).simulated_latency)
+
+    def mae(self, run: str) -> float:
+        """Mean absolute cardinality error over the run's plan operators."""
+        return getattr(self, run).execution.metrics.mean_absolute_error()
 
 
 @dataclass
 class SuiteResult:
-    """The full Table 2 / Table 3 reproduction."""
+    """The four runs of every analysed query at one scale factor."""
 
+    scale_factor: float
     rows: List[SuiteRow] = field(default_factory=list)
-    heuristic7: bool = False
-    scale_factor: float = 0.0
 
-    # -- aggregates ----------------------------------------------------------
+    def row(self, number: int) -> SuiteRow:
+        """The row of TPC-H query ``number``."""
+        return next(row for row in self.rows if row.number == number)
 
-    @property
-    def total_no_bf(self) -> float:
-        return sum(row.no_bf_latency for row in self.rows)
+    def total(self, run: str) -> float:
+        """Summed latency of one run over the workload (Table 2's totals)."""
+        return sum(getattr(row, run).simulated_latency for row in self.rows)
 
-    @property
-    def total_bf_post(self) -> float:
-        return sum(row.bf_post_latency for row in self.rows)
+    def reduction(self, baseline: str, improved: str) -> float:
+        """% reduction of the workload total (paper: BF-Post 28.8 % and
+        BF-CBO 52.2 % below No-BF; BF-CBO 32.8 % and, with Heuristic 7,
+        31.4 % below BF-Post)."""
+        return percent_reduction(self.total(baseline), self.total(improved))
 
-    @property
-    def total_bf_cbo(self) -> float:
-        return sum(row.bf_cbo_latency for row in self.rows)
+    def planner_ms(self, run: str) -> float:
+        """Summed cold planning time of one run (paper at SF100: BF-Post
+        254.3 ms, BF-CBO 540.7 ms, BF-CBO with Heuristic 7 421.9 ms)."""
+        return sum(getattr(row, run).optimization.planning_time_ms
+                   for row in self.rows)
 
-    @property
-    def overall_bf_post_reduction(self) -> float:
-        """Reduction of BF-Post vs No-BF (the paper reports 28.8%)."""
-        return percent_reduction(self.total_no_bf, self.total_bf_post)
+    def wall_ms(self, run: str) -> float:
+        """Summed stopwatch execution time of one run."""
+        return sum(getattr(row, run).execution.metrics.wall_time_seconds
+                   for row in self.rows) * 1e3
 
-    @property
-    def overall_bf_cbo_reduction(self) -> float:
-        """Reduction of BF-CBO vs No-BF (the paper reports 52.2%)."""
-        return percent_reduction(self.total_no_bf, self.total_bf_cbo)
-
-    @property
-    def overall_improvement_over_post(self) -> float:
-        """Reduction of BF-CBO vs BF-Post (the paper reports 32.8%)."""
-        return percent_reduction(self.total_bf_post, self.total_bf_cbo)
-
-    @property
-    def total_bf_post_planner_ms(self) -> float:
-        return sum(row.bf_post_planner_ms for row in self.rows)
+    def mae(self, run: str) -> float:
+        """Per-query MAE averaged over the workload (Section 4.2; paper:
+        BF-Post 2.5e7, BF-CBO 5.3e6, a 78.8 % reduction)."""
+        return (sum(row.mae(run) for row in self.rows) / len(self.rows)
+                if self.rows else 0.0)
 
     @property
-    def total_bf_cbo_planner_ms(self) -> float:
-        return sum(row.bf_cbo_planner_ms for row in self.rows)
-
-    # -- figure 5 series ----------------------------------------------------------
-
-    def figure5_series(self) -> Dict[str, List[float]]:
-        """Normalised latencies per query, the two bar series of Figure 5."""
-        return {
-            "queries": [row.query for row in self.rows],
-            "bf_post": [row.bf_post_normalized for row in self.rows],
-            "bf_cbo": [row.bf_cbo_normalized for row in self.rows],
-        }
-
-    # -- rendering ------------------------------------------------------------------
-
-    def to_text(self) -> str:
-        headers = ["Q#", "BF-Post", "BF-CBO", "%down", "planner BF-Post (ms)",
-                   "planner BF-CBO (ms)", "plan changed"]
-        rows = []
-        for row in self.rows:
-            rows.append([row.query, "%.3f" % row.bf_post_normalized,
-                         "%.3f" % row.bf_cbo_normalized,
-                         "%.1f" % row.percent_improvement,
-                         "%.1f" % row.bf_post_planner_ms,
-                         "%.1f" % row.bf_cbo_planner_ms,
-                         "yes" if row.plan_changed else ""])
-        rows.append(["total",
-                     "%.3f" % (self.total_bf_post / self.total_no_bf
-                               if self.total_no_bf else 1.0),
-                     "%.3f" % (self.total_bf_cbo / self.total_no_bf
-                               if self.total_no_bf else 1.0),
-                     "%.1f" % self.overall_improvement_over_post,
-                     "%.1f" % self.total_bf_post_planner_ms,
-                     "%.1f" % self.total_bf_cbo_planner_ms, ""])
-        title = ("TPC-H query latencies (normalised to No-BF), Heuristic 7 %s"
-                 % ("enabled" if self.heuristic7 else "disabled"))
-        return format_table(headers, rows, title=title)
+    def plan_changed(self) -> Set[int]:
+        """Queries whose join order BF-CBO changed from BF-Post's."""
+        return {row.number for row in self.rows if row.changed()}
 
 
-def run_tpch_suite(workload: Optional[TpchWorkload] = None,
-                   scale_factor: float = 0.01,
-                   heuristic7: bool = False,
-                   query_numbers: Optional[List[int]] = None,
-                   degree_of_parallelism: int = 48) -> SuiteResult:
-    """Run the Table 2 (or, with ``heuristic7``, Table 3) experiment."""
-    workload = workload or TpchWorkload.generate(scale_factor,
-                                                 query_numbers=query_numbers)
-    runner = QueryRunner(workload.catalog, scale_factor=workload.scale_factor,
-                         degree_of_parallelism=degree_of_parallelism)
-    settings = (BfCboSettings.with_heuristic7() if heuristic7
-                else BfCboSettings.paper_defaults())
-    result = SuiteResult(heuristic7=heuristic7,
-                         scale_factor=workload.scale_factor)
-    numbers = query_numbers if query_numbers is not None else workload.query_numbers
-    for number in numbers:
+def run_tpch_suite(workload: TpchWorkload) -> SuiteResult:
+    """Run every analysed query once under each of :data:`RUNS`."""
+    database = Database(workload.catalog, scale_factor=workload.scale_factor,
+                        plan_cache_size=0, sequence_cache_size=0)
+    session = database.connect(history_limit=0)
+    run = session.execute if workload.has_data else session.plan
+    configurations = (
+        (OptimizerMode.NO_BF, None),
+        (OptimizerMode.BF_POST, None),
+        (OptimizerMode.BF_CBO, BfCboSettings.paper_defaults()),
+        (OptimizerMode.BF_CBO, BfCboSettings.with_heuristic7()),
+    )
+    result = SuiteResult(scale_factor=workload.scale_factor)
+    for number in workload.query_numbers:
         query = workload.query(number)
-        no_bf = runner.run(query, OptimizerMode.NO_BF)
-        bf_post = runner.run(query, OptimizerMode.BF_POST)
-        bf_cbo = runner.run(query, OptimizerMode.BF_CBO, settings)
-        changed = (join_order_summary(bf_post.optimization.join_plan)
-                   != join_order_summary(bf_cbo.optimization.join_plan))
-        result.rows.append(SuiteRow(
-            query=query.name,
-            no_bf_latency=no_bf.simulated_latency,
-            bf_post_latency=bf_post.simulated_latency,
-            bf_cbo_latency=bf_cbo.simulated_latency,
-            bf_post_planner_ms=bf_post.planning_time_ms,
-            bf_cbo_planner_ms=bf_cbo.planning_time_ms,
-            bf_post_filters=bf_post.num_bloom_filters,
-            bf_cbo_filters=bf_cbo.num_bloom_filters,
-            plan_changed=changed))
+        result.rows.append(SuiteRow(number, *(
+            run(query, mode, settings) for mode, settings in configurations)))
     return result

@@ -12,7 +12,8 @@ from typing import List, Optional, Sequence
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
                  title: Optional[str] = None) -> str:
-    """Render a fixed-width text table (used by examples and EXPERIMENTS.md)."""
+    """Render a fixed-width text table (used by examples and
+    ``docs/reproduction.md``)."""
     columns = [list(map(str, column)) for column in
                zip(*([headers] + [list(map(str, row)) for row in rows]))] \
         if rows else [[str(h)] for h in headers]

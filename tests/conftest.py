@@ -11,17 +11,9 @@ import pytest
 # knob off; the suite is where contract violations should surface first.
 os.environ.setdefault("REPRO_VERIFY_PLANS", "1")
 
-from repro.core import (
-    BaseRelation,
-    ColumnRef,
-    Comparison,
-    ComparisonOp,
-    JoinClause,
-    Literal,
-    QueryBlock,
-)
-from repro.storage import Catalog, INT64, make_schema, synthetic_statistics
-from repro.storage.schema import ForeignKey
+from repro.core import QueryBlock
+from repro.experiments.running_example import build_catalog, build_query
+from repro.storage import Catalog
 from repro.tpch import TpchWorkload
 
 #: Scale factor used by data-backed tests; small enough to keep the suite fast.
@@ -43,33 +35,10 @@ def tpch_catalog(tpch_workload) -> Catalog:
 @pytest.fixture()
 def running_example_catalog() -> Catalog:
     """Statistics-only catalog for the Section 3 running example."""
-    catalog = Catalog()
-    t1 = make_schema("t1", [("c1", INT64), ("c2", INT64)], primary_key=["c1"])
-    t2 = make_schema("t2", [("c1", INT64), ("c2", INT64), ("c3", INT64)],
-                     primary_key=["c1"],
-                     foreign_keys=[ForeignKey("c2", "t3", "c1")])
-    t3 = make_schema("t3", [("c1", INT64)], primary_key=["c1"])
-    catalog.register_schema(t1, synthetic_statistics(
-        "t1", 600_000_000, {"c1": 600_000_000, "c2": 22_000_000}))
-    catalog.register_schema(t2, synthetic_statistics(
-        "t2", 8_070_000, {"c1": 8_070_000, "c2": 770_000, "c3": 1_000},
-        {"c3": (0.0, 999.0)}))
-    catalog.register_schema(t3, synthetic_statistics(
-        "t3", 1_000_000, {"c1": 1_000_000}))
-    return catalog
+    return build_catalog()
 
 
 @pytest.fixture()
 def running_example_query() -> QueryBlock:
     """The three-table running example query of Section 3."""
-    return QueryBlock(
-        relations=[BaseRelation("t1", "t1"), BaseRelation("t2", "t2"),
-                   BaseRelation("t3", "t3")],
-        join_clauses=[
-            JoinClause(ColumnRef("t1", "c2"), ColumnRef("t2", "c1")),
-            JoinClause(ColumnRef("t2", "c2"), ColumnRef("t3", "c1")),
-        ],
-        local_predicates={"t2": [Comparison(ComparisonOp.LT,
-                                            ColumnRef("t2", "c3"),
-                                            Literal(100))]},
-        name="running-example")
+    return build_query()
