@@ -41,8 +41,7 @@ Contract catalogue (ids match ``docs/analysis.md``):
     preserve rows.
 
 The verifier is wired behind the ``verify_plans`` knob on
-:class:`repro.api.Database` / :class:`repro.api.Session`, resolved like the
-adaptive-planner knob stack (session > database > ``REPRO_VERIFY_PLANS``
+:class:`repro.api.Database` (``None`` defers to the ``REPRO_VERIFY_PLANS``
 environment default).  The test suite turns it on globally, so every plan
 any test produces is verified; production keeps it off by default.
 """

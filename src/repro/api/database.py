@@ -15,7 +15,8 @@ repeated traffic cheap — two caches shared by every session:
 
 Sessions (:class:`~repro.api.session.Session`) are created with
 :meth:`Database.connect` and own the per-connection state: an execution
-context, setting overrides and a metrics history.
+context with its executor knobs, mode/settings defaults and a metrics
+history.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     Hashable,
     List,
     Mapping,
@@ -41,7 +41,7 @@ from ..analysis.contracts import PlanContractVerifier, verify_plans_default
 from ..cache import LruCache
 from ..core.cost import CostParameters, DEFAULT_COST_PARAMETERS
 from ..core.enumerator import EnumerationSequenceCache
-from ..core.heuristics import BfCboSettings, planner_overrides, scaled_settings
+from ..core.heuristics import BfCboSettings, scaled_settings
 from ..core.optimizer import (
     OptimizationResult,
     Optimizer,
@@ -50,7 +50,6 @@ from ..core.optimizer import (
 )
 from ..core.query import QueryBlock
 from ..errors import PlanningError, SessionClosedError, raise_as
-from ..executor.context import executor_overrides
 from ..executor.memory import MemoryGovernor, default_governor
 from ..faults import FaultPlan, SITE_RESULT_CACHE_GET, SITE_RESULT_CACHE_PUT
 from ..executor.runtime import ExecutionResult
@@ -209,30 +208,16 @@ class Database:
             ``QueryResult.from_result_cache`` and in :meth:`cache_stats`.
             Cached batches are frozen (read-only arrays) because every hit
             shares them — see ``docs/serving.md``.
-        enumeration_budget: Override of the exact DPccp walk's pair budget
-            (see ``BfCboSettings.enumeration_budget``; <= 0 = unlimited).
-        fallback_relation_threshold: Override of the relation count beyond
-            which the greedy fallback is used directly (<= 0 = never).
-        parallel_workers: Override of the sharded-DP worker count
-            (<= 1 = the serial loop).
-        parallel_executor: Override of the shard pool flavour
-            ("thread" or "process").
-        executor_workers: Default morsel-execution worker count for sessions
-            opened on this database (<= 1 = serial operators; sessions may
-            override, see ``docs/executor.md``).
-        morsel_size: Default maximum rows per execution morsel for sessions.
-        executor_backend: Default morsel-execution backend for sessions —
-            ``"thread"``, ``"process"`` (shared-memory GIL-escape pool) or
-            ``"auto"`` (threads on free-threaded CPython, processes
-            elsewhere); see :func:`repro.executor.backend.resolve_backend`.
-        max_cross_join_rows: Default cross-join output guard for sessions
-            (<= 0 disables the guard).
+        result_cache_bytes: Byte bound on the result cache: stored batches
+            are weighted by their actual resident bytes and eviction is by
+            size, not entry count (``None`` keeps the entry-count bound
+            only).
         verify_plans: Run the plan-contract verifier
             (:mod:`repro.analysis.contracts`) on every cold-planned query,
             raising :class:`~repro.errors.PlanContractError` if the plan
             violates an executor contract.  ``None`` (the default) follows
             the ``REPRO_VERIFY_PLANS`` environment variable — on in tests
-            and CI, off in production; sessions may override per connection.
+            and CI, off in production.
         fault_plan: Optional :class:`~repro.faults.FaultPlan` driving
             deterministic fault injection: threaded into every session's
             execution context (morsel dispatch, process-pool submit, shm
@@ -246,18 +231,13 @@ class Database:
             database its own pool.  Operators whose reservations the pool
             cannot cover degrade to their spill paths — see
             ``docs/memory.md``.
-        result_cache_bytes: Byte bound on the result cache: stored batches
-            are weighted by their actual resident bytes and eviction is by
-            size, not entry count (``None`` keeps the entry-count bound
-            only).
-        max_memory_bytes: Default per-query reserved-byte cap for sessions;
-            reservations above it degrade the operator to its spill path.
-        max_spill_bytes: Default per-query spill cap for sessions; exceeding
-            it raises :class:`~repro.errors.ResourceExhaustedError` — the
-            runaway-query watchdog.
-        max_rows: Default per-query materialized-row cap for sessions.
-        spill_dir: Root directory for per-query spill files (``None`` = the
-            system temp dir).
+        spill_dir: Root directory for the per-query spill files of every
+            session opened on this database (``None`` = the system temp
+            dir).
+
+    Adaptive-planner knobs are :class:`~repro.core.heuristics.BfCboSettings`
+    fields, passed through ``settings``; executor knobs are per-session
+    :meth:`connect` arguments.
     """
 
     def __init__(self, catalog: Catalog, *,
@@ -268,46 +248,18 @@ class Database:
                  plan_cache_size: int = 256,
                  sequence_cache_size: int = 128,
                  result_cache_size: int = 0,
-                 enumeration_budget: Optional[int] = None,
-                 fallback_relation_threshold: Optional[int] = None,
-                 parallel_workers: Optional[int] = None,
-                 parallel_executor: Optional[str] = None,
-                 executor_workers: Optional[int] = None,
-                 morsel_size: Optional[int] = None,
-                 executor_backend: Optional[str] = None,
-                 max_cross_join_rows: Optional[int] = None,
+                 result_cache_bytes: Optional[int] = None,
                  verify_plans: Optional[bool] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  memory_pool_bytes: Optional[int] = None,
-                 result_cache_bytes: Optional[int] = None,
-                 max_memory_bytes: Optional[int] = None,
-                 max_spill_bytes: Optional[int] = None,
-                 max_rows: Optional[int] = None,
                  spill_dir: Optional[str] = None) -> None:
         self.catalog = catalog
         self.default_mode = mode
         self.default_settings = settings
         self.cost_parameters = cost_parameters or DEFAULT_COST_PARAMETERS
         self.scale_factor = scale_factor
-        #: Database-wide adaptive-planner overrides, folded into every
-        #: resolved settings object (sessions may override them again).
-        self.planner_overrides: Dict[str, object] = planner_overrides(
-            enumeration_budget=enumeration_budget,
-            fallback_relation_threshold=fallback_relation_threshold,
-            parallel_workers=parallel_workers,
-            parallel_executor=parallel_executor)
-        #: Database-wide executor knob defaults; resolved per session exactly
-        #: like the planner overrides (session kwarg > database kwarg >
-        #: engine default) — see :func:`repro.executor.executor_overrides`.
-        self.executor_overrides: Dict[str, object] = executor_overrides(
-            executor_workers=executor_workers,
-            morsel_size=morsel_size,
-            max_cross_join_rows=max_cross_join_rows,
-            executor_backend=executor_backend,
-            max_memory_bytes=max_memory_bytes,
-            max_spill_bytes=max_spill_bytes,
-            max_rows=max_rows,
-            spill_dir=spill_dir)
+        #: Spill-file root shared by every session's execution context.
+        self.spill_dir = spill_dir
         #: The memory governor every session's per-query budgets draw from
         #: (and the serving tier's admission queue consults): this
         #: database's own pool when ``memory_pool_bytes`` was given, the
@@ -315,9 +267,8 @@ class Database:
         self.memory_governor: MemoryGovernor = (
             MemoryGovernor(memory_pool_bytes)
             if memory_pool_bytes is not None else default_governor())
-        #: Whether cold-planned queries run the plan-contract verifier;
-        #: resolved like every other knob (session kwarg > database kwarg >
-        #: ``REPRO_VERIFY_PLANS`` environment default).
+        #: Whether cold-planned queries run the plan-contract verifier
+        #: (database kwarg > ``REPRO_VERIFY_PLANS`` environment default).
         self.verify_plans: bool = (verify_plans_default()
                                    if verify_plans is None else verify_plans)
         #: Deterministic fault-injection plan shared by every session opened
@@ -493,56 +444,40 @@ class Database:
 
     def resolve_settings(self, mode: OptimizerMode,
                          settings: Optional[BfCboSettings],
-                         overrides: Optional[Mapping[str, object]] = None,
                          ) -> BfCboSettings:
         """The effective settings for ``mode`` (defaults, scaling, disabling).
 
-        Delegates the mode defaulting to the optimizer's own
+        ``settings=None`` falls back to the database's ``settings``.  Delegates
+        the mode defaulting to the optimizer's own
         :func:`~repro.core.optimizer.resolve_optimizer_settings` (so the plan
         cache keys on exactly what the optimizer runs with), then applies the
         scale-factor threshold rescaling the experiment harness uses.
-        Adaptive-planner knob layering follows specificity: an *explicit*
-        ``settings`` object (per-call or per-session) is taken verbatim and
-        the database-wide constructor knobs do not touch it; only defaulted
-        settings receive them.  ``overrides`` (a session's knobs) apply last
-        — a session is more specific than its database.
         """
-        explicit = settings is not None
         if settings is None:
             settings = self.default_settings
         settings = resolve_optimizer_settings(mode, settings)
         if mode is OptimizerMode.BF_CBO and self.scale_factor is not None:
             settings = scaled_settings(self.scale_factor, settings)
-        if not explicit and self.planner_overrides:
-            settings = settings.with_overrides(**self.planner_overrides)
-        if overrides:
-            settings = settings.with_overrides(**overrides)
         return settings
 
     def optimize(self, query: QueryBlock,
                  mode: Optional[OptimizerMode] = None,
                  settings: Optional[BfCboSettings] = None,
-                 overrides: Optional[Mapping[str, object]] = None,
-                 verify: Optional[bool] = None,
                  ) -> Tuple[OptimizationResult, bool]:
         """Plan ``query``, consulting the plan cache.
 
         Returns ``(result, from_cache)``.  A cached result is returned as-is
         (plans are immutable during execution); its ``planning_time_ms`` still
-        reports the original cold planning time.  ``overrides`` are per-call
-        adaptive-planner field overrides (a session's knobs), folded into the
-        resolved settings — and therefore into the plan-cache key.
+        reports the original cold planning time.
 
-        ``verify`` overrides the database's ``verify_plans`` knob for this
-        call.  Verification runs on *cold* planning only — a cached plan
-        already passed on the miss that produced it — and the knob stays out
-        of the cache key: it changes whether a plan is checked, never which
-        plan is produced.
+        With ``verify_plans`` on, the plan-contract verifier runs on *cold*
+        planning only — a cached plan already passed on the miss that
+        produced it — and the knob stays out of the cache key: it changes
+        whether a plan is checked, never which plan is produced.
         """
         self._check_open()
         mode = mode or self.default_mode
-        verify = self.verify_plans if verify is None else verify
-        settings = self.resolve_settings(mode, settings, overrides)
+        settings = self.resolve_settings(mode, settings)
         caching = self._plan_cache.max_entries > 0
         if caching:
             # Snapshot the version *before* the invalidation check: a
@@ -560,7 +495,7 @@ class Database:
                 return cached[0], True
         with raise_as(PlanningError, "planning %s failed" % query.name):
             result = self.optimizer.optimize(query, mode, settings)
-        if verify:
+        if self.verify_plans:
             # PlanContractError subclasses PlanningError, so callers guarding
             # the planning stage catch contract violations with no new paths.
             PlanContractVerifier(self.catalog, query).verify(result.plan)

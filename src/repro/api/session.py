@@ -1,10 +1,11 @@
 """Sessions: per-connection execution state over a shared :class:`Database`.
 
-A :class:`Session` owns an :class:`~repro.executor.context.ExecutionContext`,
-optional per-session mode/setting overrides, and a metrics history of every
-query it ran.  Plans come from the database's shared plan cache; executions
-run in per-call filter scopes, so any number of sessions can run concurrently
-against one catalog without interfering.
+A :class:`Session` owns an :class:`~repro.executor.context.ExecutionContext`
+built from its executor knobs, optional per-session mode/settings defaults,
+and a metrics history of every query it ran.  Plans come from the
+database's shared plan cache; executions run in per-call filter scopes, so
+any number of sessions can run concurrently against one catalog without
+interfering.
 
 All failures surface as typed :class:`~repro.errors.ReproError` subclasses:
 ``SqlError`` from parsing/binding, ``PlanningError`` from the optimizer and
@@ -20,18 +21,17 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.explain import explain as explain_plan
-from ..core.heuristics import BfCboSettings, planner_overrides
+from ..core.cost import CostModel
+from ..core.heuristics import BfCboSettings
 from ..core.optimizer import OptimizationResult, OptimizerMode
 from ..core.query import QueryBlock
 from ..errors import ExecutionError, ReproError, SessionClosedError, raise_as
-from ..faults import FaultPlan
 from ..storage.catalog import Catalog
 from ..executor.cancel import CancelToken
 from ..executor.context import (
     DEFAULT_MAX_CROSS_JOIN_ROWS,
     DEFAULT_MORSEL_SIZE,
     ExecutionContext,
-    executor_overrides,
 )
 from ..executor.runtime import ExecutionResult, Executor
 from .database import Database
@@ -196,125 +196,65 @@ class PreparedQuery:
 
 
 class Session:
-    """One connection: execution context, overrides and metrics history.
+    """One connection: execution context, settings defaults, metrics history.
 
     Args:
         database: The shared database this session plans and executes against.
         mode: Per-session default optimizer mode (falls back to the
             database's default).
-        settings: Per-session default BF-CBO settings (falls back to the
-            database's default, then the paper defaults).
-        degree_of_parallelism: Simulated DOP of this session's executions.
-        bloom_partitions: Partitioned-Bloom-filter knob of the context.
+        settings: Per-session default BF-CBO settings, adaptive-planner
+            knobs included (falls back to the database's, then the paper
+            defaults); a per-call ``settings`` argument beats it.
         history_limit: Maximum number of results retained in
             :attr:`history` (oldest dropped first); 0 disables recording
             entirely.  Results hold full batches and plans, so an unbounded
             history would grow with every query served.
-        enumeration_budget: Per-session override of the exact DPccp walk's
-            pair budget (<= 0 = unlimited).
-        fallback_relation_threshold: Per-session override of the relation
-            count beyond which the greedy fallback engages (<= 0 = never).
-        parallel_workers: Per-session override of the sharded-DP worker
-            count (<= 1 = serial).
-        parallel_executor: Per-session override of the shard pool flavour
-            ("thread" or "process").
-        executor_workers: Per-session override of the morsel-execution
-            worker count (<= 1 = serial operators; falls back to the
-            database default, then serial — see ``docs/executor.md``).
-        morsel_size: Per-session override of the maximum rows per execution
-            morsel.
-        executor_backend: Per-session override of how morsels escape the
-            interpreter — ``"thread"``, ``"process"`` (shared-memory
-            GIL-escape pool) or ``"auto"`` (see
-            :func:`repro.executor.backend.resolve_backend`).
-        max_cross_join_rows: Per-session override of the cross-join output
-            guard (<= 0 disables it).
-        verify_plans: Per-session override of the plan-contract verifier
-            knob (falls back to the database's, then the
-            ``REPRO_VERIFY_PLANS`` environment default); see
-            :mod:`repro.analysis.contracts`.
-        fault_plan: Per-session override of the deterministic
-            fault-injection plan (falls back to the database's
-            ``fault_plan``; ``None`` with no database plan = zero-overhead
-            production path — see ``docs/robustness.md``).
-        max_memory_bytes: Per-session override of the per-query
-            reserved-byte cap; a reservation above it degrades the operator
-            to its spill path (see ``docs/memory.md``).
-        max_spill_bytes: Per-session override of the per-query spill cap
-            (exceeding it raises
+        executor_workers: Morsel-execution worker count (<= 1 = serial
+            operators; see ``docs/executor.md``).
+        morsel_size: Maximum rows per execution morsel.
+        executor_backend: How morsels escape the interpreter —
+            ``"thread"``, ``"process"`` (shared-memory GIL-escape pool) or
+            ``"auto"`` (see :func:`repro.executor.backend.resolve_backend`).
+        max_cross_join_rows: Cross-join output guard (<= 0 disables it).
+        max_memory_bytes: Per-query reserved-byte cap; a reservation above
+            it degrades the operator to its spill path (see
+            ``docs/memory.md``).
+        max_spill_bytes: Per-query spill cap (exceeding it raises
             :class:`~repro.errors.ResourceExhaustedError`).
-        max_rows: Per-session override of the per-query materialized-row
-            cap.
-        spill_dir: Per-session override of the spill-file root directory.
+        max_rows: Per-query materialized-row cap.
+
+    Invalid executor knobs raise ``ValueError`` here, not mid-query.  The
+    memory governor, fault plan and spill directory come from the database.
     """
 
     def __init__(self, database: Database, *,
                  mode: Optional[OptimizerMode] = None,
                  settings: Optional[BfCboSettings] = None,
-                 degree_of_parallelism: int = 48,
-                 bloom_partitions: int = 1,
                  history_limit: int = 128,
-                 enumeration_budget: Optional[int] = None,
-                 fallback_relation_threshold: Optional[int] = None,
-                 parallel_workers: Optional[int] = None,
-                 parallel_executor: Optional[str] = None,
-                 executor_workers: Optional[int] = None,
-                 morsel_size: Optional[int] = None,
-                 executor_backend: Optional[str] = None,
-                 max_cross_join_rows: Optional[int] = None,
-                 verify_plans: Optional[bool] = None,
-                 fault_plan: Optional[FaultPlan] = None,
+                 executor_workers: int = 0,
+                 morsel_size: int = DEFAULT_MORSEL_SIZE,
+                 executor_backend: str = "thread",
+                 max_cross_join_rows: int = DEFAULT_MAX_CROSS_JOIN_ROWS,
                  max_memory_bytes: Optional[int] = None,
                  max_spill_bytes: Optional[int] = None,
-                 max_rows: Optional[int] = None,
-                 spill_dir: Optional[str] = None) -> None:
+                 max_rows: Optional[int] = None) -> None:
         self.database = database
         self.mode = mode
         self.settings = settings
         self.history_limit = history_limit
-        #: Per-session plan-verification knob; ``None`` defers to the
-        #: database (which in turn defers to ``REPRO_VERIFY_PLANS``).
-        self.verify_plans = verify_plans
-        #: Per-session adaptive-planner overrides, applied on top of the
-        #: database-wide ones for every plan this session requests.
-        self.planner_overrides: Dict[str, object] = planner_overrides(
-            enumeration_budget=enumeration_budget,
-            fallback_relation_threshold=fallback_relation_threshold,
-            parallel_workers=parallel_workers,
-            parallel_executor=parallel_executor)
-        self.context = ExecutionContext.for_catalog(
-            database.catalog, parameters=database.cost_parameters,
-            degree_of_parallelism=degree_of_parallelism)
-        self.context.bloom_partitions = bloom_partitions
-        # Executor knobs resolve by specificity, mirroring the planner
-        # knobs: session kwarg > database kwarg > engine default.
-        resolved = dict(database.executor_overrides)
-        resolved.update(executor_overrides(
+        self.context = ExecutionContext(
+            catalog=database.catalog,
+            cost_model=CostModel(database.cost_parameters),
             executor_workers=executor_workers,
             morsel_size=morsel_size,
             max_cross_join_rows=max_cross_join_rows,
             executor_backend=executor_backend,
+            fault_plan=database.fault_plan,
+            memory_governor=database.memory_governor,
             max_memory_bytes=max_memory_bytes,
             max_spill_bytes=max_spill_bytes,
             max_rows=max_rows,
-            spill_dir=spill_dir))
-        self.context.executor_workers = resolved.get("executor_workers", 0)
-        self.context.morsel_size = resolved.get("morsel_size",
-                                                DEFAULT_MORSEL_SIZE)
-        self.context.max_cross_join_rows = resolved.get(
-            "max_cross_join_rows", DEFAULT_MAX_CROSS_JOIN_ROWS)
-        self.context.executor_backend = resolved.get("executor_backend",
-                                                     "thread")
-        self.context.max_memory_bytes = resolved.get("max_memory_bytes")
-        self.context.max_spill_bytes = resolved.get("max_spill_bytes")
-        self.context.max_rows = resolved.get("max_rows")
-        self.context.spill_dir = resolved.get("spill_dir")
-        # Per-query budgets draw from the database's governor — explicit
-        # pool when constructed with memory_pool_bytes, the process-wide
-        # default otherwise.
-        self.context.memory_governor = database.memory_governor
-        self.context.fault_plan = (fault_plan if fault_plan is not None
-                                   else database.fault_plan)
+            spill_dir=database.spill_dir)
         #: The most recent results this session produced (every `plan`,
         #: `execute` and `explain` call), oldest first, capped at
         #: ``history_limit``.
@@ -570,17 +510,9 @@ class Session:
                     mode: Optional[OptimizerMode],
                     settings: Optional[BfCboSettings]) -> QueryResult:
         mode = mode or self.mode or self.database.default_mode
-        # Knob layering by specificity: an explicit per-call settings object
-        # is taken verbatim (no session/database constructor knobs); the
-        # session's knobs apply to everything less specific.
-        explicit = settings is not None
-        if settings is None:
-            settings = self.settings
-        overrides = None if explicit else (self.planner_overrides or None)
         started = time.perf_counter()
         optimization, from_cache = self.database.optimize(
-            block, mode, settings, overrides=overrides,
-            verify=self.verify_plans)
+            block, mode, settings or self.settings)
         planning_time_ms = (time.perf_counter() - started) * 1e3
         return QueryResult(query=block, mode=mode,
                            settings=optimization.settings,

@@ -11,12 +11,9 @@ from .math import (
     false_positive_rate,
     optimal_num_bits,
 )
-from .partitioned import PartitionedBloomFilter, partition_of
 
 __all__ = [
     "BloomFilter",
-    "PartitionedBloomFilter",
-    "partition_of",
     "false_positive_rate",
     "optimal_num_bits",
     "bits_for_keys",

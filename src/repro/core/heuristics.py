@@ -117,29 +117,6 @@ class BfCboSettings:
         return cls(use_heuristic7=True)
 
 
-def planner_overrides(enumeration_budget: Optional[int] = None,
-                      fallback_relation_threshold: Optional[int] = None,
-                      parallel_workers: Optional[int] = None,
-                      parallel_executor: Optional[str] = None) -> dict:
-    """Non-None adaptive-planner kwargs as a ``with_overrides``-ready dict.
-
-    Shared by :class:`repro.api.Database` and :class:`repro.api.Session` so
-    the two override layers expose the identical knob set and cannot drift.
-    Validates eagerly: a typo'd ``parallel_executor`` fails at construction
-    time, not as a surprise on the first query.
-    """
-    if parallel_executor is not None \
-            and parallel_executor not in ("thread", "process"):
-        raise ValueError(
-            "parallel_executor must be 'thread' or 'process', got %r"
-            % (parallel_executor,))
-    return {key: value for key, value in (
-        ("enumeration_budget", enumeration_budget),
-        ("fallback_relation_threshold", fallback_relation_threshold),
-        ("parallel_workers", parallel_workers),
-        ("parallel_executor", parallel_executor)) if value is not None}
-
-
 def scaled_settings(scale_factor: float,
                     base: Optional[BfCboSettings] = None) -> BfCboSettings:
     """Scale the paper's absolute heuristic thresholds to a scale factor.

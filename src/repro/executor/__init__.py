@@ -9,15 +9,12 @@ from .context import (
     DEFAULT_MORSEL_SIZE,
     ExecutionContext,
     FilterScope,
-    executor_overrides,
 )
 from .joins import (
     combine_key_columns,
     cross_join,
     equi_join,
     join_indices,
-    merge_join,
-    nested_loop_join,
     sort_search_join_indices,
     spill_equi_join,
 )
@@ -43,7 +40,6 @@ __all__ = [
     "CompositeKeyIndex",
     "DEFAULT_MORSEL_SIZE",
     "EXECUTOR_BACKENDS",
-    "executor_overrides",
     "ExecutionContext",
     "ExecutionMetrics",
     "ExecutionResult",
@@ -66,8 +62,6 @@ __all__ = [
     "join_indices",
     "live_segment_names",
     "live_segment_stats",
-    "merge_join",
-    "nested_loop_join",
     "parallel_sort_order",
     "reset_default_governor",
     "resolve_backend",

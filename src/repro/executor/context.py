@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..bloom import BloomFilter, PartitionedBloomFilter
+from ..bloom import BloomFilter
 from ..core.cost import CostModel, CostParameters, DEFAULT_COST_PARAMETERS
 from ..faults import FaultPlan
 from ..storage.catalog import Catalog
@@ -23,48 +23,6 @@ from .shm import live_segment_stats
 DEFAULT_MORSEL_SIZE = 65_536
 
 
-def executor_overrides(executor_workers: Optional[int] = None,
-                       morsel_size: Optional[int] = None,
-                       max_cross_join_rows: Optional[int] = None,
-                       executor_backend: Optional[str] = None,
-                       max_memory_bytes: Optional[int] = None,
-                       max_spill_bytes: Optional[int] = None,
-                       max_rows: Optional[int] = None,
-                       spill_dir: Optional[str] = None) -> dict:
-    """Non-``None`` executor knobs as an override-ready dict.
-
-    Shared by :class:`repro.api.Database` and :class:`repro.api.Session` so
-    the two override layers expose the identical knob set and cannot drift
-    (the executor-side twin of
-    :func:`repro.core.heuristics.planner_overrides`).  Validates eagerly: a
-    nonsensical ``morsel_size`` fails at construction time, not mid-query.
-    """
-    if morsel_size is not None and morsel_size <= 0:
-        raise ValueError("morsel_size must be positive, got %r" % morsel_size)
-    if executor_workers is not None and executor_workers < 0:
-        raise ValueError("executor_workers must be non-negative, got %r"
-                         % executor_workers)
-    if executor_backend is not None \
-            and executor_backend not in EXECUTOR_BACKENDS:
-        raise ValueError("executor_backend must be one of %r, got %r"
-                         % (EXECUTOR_BACKENDS, executor_backend))
-    for name, value in (("max_memory_bytes", max_memory_bytes),
-                        ("max_spill_bytes", max_spill_bytes),
-                        ("max_rows", max_rows)):
-        if value is not None and value <= 0:
-            raise ValueError("%s must be positive or None, got %r"
-                             % (name, value))
-    return {key: value for key, value in (
-        ("executor_workers", executor_workers),
-        ("morsel_size", morsel_size),
-        ("max_cross_join_rows", max_cross_join_rows),
-        ("executor_backend", executor_backend),
-        ("max_memory_bytes", max_memory_bytes),
-        ("max_spill_bytes", max_spill_bytes),
-        ("max_rows", max_rows),
-        ("spill_dir", spill_dir)) if value is not None}
-
-
 class FilterScope:
     """Bloom filters published during a *single* plan execution.
 
@@ -78,14 +36,10 @@ class FilterScope:
 
     def __init__(self) -> None:
         self._filters: Dict[str, BloomFilter] = {}
-        self._partitioned_filters: Dict[str, PartitionedBloomFilter] = {}
 
-    def register_filter(self, filter_id: str, bloom: BloomFilter,
-                        partitioned: Optional[PartitionedBloomFilter] = None) -> None:
+    def register_filter(self, filter_id: str, bloom: BloomFilter) -> None:
         """Publish a built Bloom filter so probe-side scans can fetch it."""
         self._filters[filter_id] = bloom
-        if partitioned is not None:
-            self._partitioned_filters[filter_id] = partitioned
 
     def get_filter(self, filter_id: str) -> BloomFilter:
         """Fetch a previously built Bloom filter.
@@ -109,7 +63,6 @@ class FilterScope:
     def clear(self) -> None:
         """Drop all registered filters."""
         self._filters.clear()
-        self._partitioned_filters.clear()
 
 
 @dataclass
@@ -120,13 +73,9 @@ class ExecutionContext:
         catalog: Source of table data.
         cost_model: Charges work units for the simulated latency model; uses
             the same constants as the optimizer so estimated and observed
-            costs are comparable.
-        degree_of_parallelism: Simulated DOP used when charging broadcast and
-            per-worker hash-table build work.
-        bloom_partitions: Number of partial Bloom filters built per filter,
-            emulating the partition-join strategies of Section 3.9 (1 means a
-            single monolithic filter, as in build-side broadcast).
-        bloom_bits_per_key: Sizing knob forwarded to runtime Bloom filters.
+            costs are comparable.  Broadcasts and broadcast hash-table
+            builds are charged at its parameters' simulated DOP, exactly as
+            the optimizer priced them.
         executor_workers: Morsel-execution worker count.  ``<= 1`` runs the
             classic serial operators; above that, scans, projections, join
             probes, aggregation partials and sort runs split their input
@@ -186,9 +135,6 @@ class ExecutionContext:
 
     catalog: Catalog
     cost_model: CostModel = field(default_factory=lambda: CostModel(DEFAULT_COST_PARAMETERS))
-    degree_of_parallelism: int = 48
-    bloom_partitions: int = 1
-    bloom_bits_per_key: int = 8
     executor_workers: int = 0
     morsel_size: int = DEFAULT_MORSEL_SIZE
     max_cross_join_rows: int = DEFAULT_MAX_CROSS_JOIN_ROWS
@@ -202,9 +148,22 @@ class ExecutionContext:
     spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Eager validation: a nonsensical knob fails when the session is
+        # opened, not mid-query.
+        if self.morsel_size <= 0:
+            raise ValueError("morsel_size must be positive, got %r"
+                             % self.morsel_size)
+        if self.executor_workers < 0:
+            raise ValueError("executor_workers must be non-negative, got %r"
+                             % self.executor_workers)
         if self.executor_backend not in EXECUTOR_BACKENDS:
             raise ValueError("executor_backend must be one of %r, got %r"
                              % (EXECUTOR_BACKENDS, self.executor_backend))
+        for name in ("max_memory_bytes", "max_spill_bytes", "max_rows"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError("%s must be positive or None, got %r"
+                                 % (name, value))
         #: Lazily created, persistent morsel/process/batch pools shared by
         #: every execution on this context (see
         #: :class:`repro.executor.backend.MorselPools`).
@@ -228,15 +187,10 @@ class ExecutionContext:
     @classmethod
     def for_catalog(cls, catalog: Catalog,
                     parameters: Optional[CostParameters] = None,
-                    degree_of_parallelism: int = 48,
-                    executor_workers: int = 0,
-                    morsel_size: int = DEFAULT_MORSEL_SIZE) -> "ExecutionContext":
+                    ) -> "ExecutionContext":
         """Convenience constructor mirroring the optimizer's defaults."""
         params = parameters or DEFAULT_COST_PARAMETERS
-        return cls(catalog=catalog, cost_model=CostModel(params),
-                   degree_of_parallelism=degree_of_parallelism,
-                   executor_workers=executor_workers,
-                   morsel_size=morsel_size)
+        return cls(catalog=catalog, cost_model=CostModel(params))
 
     # -- Bloom filter scoping -------------------------------------------------
 

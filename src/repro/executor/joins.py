@@ -44,8 +44,6 @@ __all__ = [
     "equi_join",
     "export_probe_task",
     "join_indices",
-    "merge_join",
-    "nested_loop_join",
     "probe_morsel_kernel",
     "probe_span_pairs",
     "sort_search_join_indices",
@@ -621,24 +619,3 @@ def cross_join(probe: Batch, build: Batch,
     probe_idx = np.repeat(np.arange(n, dtype=np.int64), m)
     build_idx = np.tile(np.arange(m, dtype=np.int64), n)
     return probe.take(probe_idx).merge(build.take(build_idx))
-
-
-def merge_join(probe: Batch, build: Batch, clauses: Sequence[JoinClause],
-               join_type: JoinType = JoinType.INNER,
-               max_cross_join_rows: Optional[int] = None) -> Batch:
-    """Sort-merge join; semantically identical to :func:`equi_join`.
-
-    The kernel is already order-based, so the merge join reuses it — the cost
-    difference between hash and merge joins is modelled by the optimizer, not
-    re-measured here.
-    """
-    return equi_join(probe, build, clauses, join_type, max_cross_join_rows)
-
-
-def nested_loop_join(probe: Batch, build: Batch, clauses: Sequence[JoinClause],
-                     join_type: JoinType = JoinType.INNER,
-                     max_cross_join_rows: Optional[int] = None) -> Batch:
-    """Nested-loop join; with equi-clauses it degenerates to the same kernel."""
-    if clauses:
-        return equi_join(probe, build, clauses, join_type, max_cross_join_rows)
-    return cross_join(probe, build, max_cross_join_rows)

@@ -44,7 +44,7 @@ from typing import (
 
 import numpy as np
 
-from ..bloom import BloomFilter, PartitionedBloomFilter
+from ..bloom import BloomFilter
 from ..errors import QueryCancelledError, TransientError
 from ..faults import SITE_MORSEL_DISPATCH
 from ..core.expressions import (
@@ -430,7 +430,7 @@ class Executor:
         build_rows = inner_batch.num_rows
         if (node.inner is not None
                 and node.inner.properties.distribution.kind is DistributionKind.BROADCAST):
-            build_rows *= self.context.degree_of_parallelism
+            build_rows *= cost_model.params.degree_of_parallelism
         if node.method is JoinMethod.HASH:
             cost = cost_model.hash_join(build_rows, outer_batch.num_rows,
                                         joined.num_rows, len(node.clauses))
@@ -526,16 +526,8 @@ class Executor:
             valid_rows = (inner_batch.num_rows if null_mask is None
                           else int((~null_mask).sum()))
             values = inner_batch.unique_valid(key)
-            if self.context.bloom_partitions > 1:
-                partitioned = PartitionedBloomFilter.from_values(
-                    values, self.context.bloom_partitions,
-                    bits_per_key=self.context.bloom_bits_per_key)
-                bloom = partitioned.merge()
-                self.filters.register_filter(spec.filter_id, bloom, partitioned)
-            else:
-                bloom = BloomFilter.from_values(
-                    values, bits_per_key=self.context.bloom_bits_per_key)
-                self.filters.register_filter(spec.filter_id, bloom)
+            self.filters.register_filter(spec.filter_id,
+                                         BloomFilter.from_values(values))
             self.metrics.bloom_filters_built += 1
             build_work = self.context.cost_model.bloom_build(valid_rows, 1).total
             self.metrics.total_work_units += build_work
@@ -548,7 +540,7 @@ class Executor:
         if node.kind is ExchangeKind.BROADCAST:
             work = cost_model.broadcast(batch.num_rows, node.row_width).total
             bytes_moved = batch.num_rows * node.row_width * \
-                self.context.degree_of_parallelism
+                cost_model.params.degree_of_parallelism
         elif node.kind is ExchangeKind.REDISTRIBUTE:
             work = cost_model.redistribute(batch.num_rows, node.row_width).total
             bytes_moved = batch.num_rows * node.row_width

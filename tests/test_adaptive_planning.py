@@ -418,63 +418,66 @@ class TestApiOverrides:
         query = make_query(3, [(0, 1), (1, 2)])
         return make_catalog(query), query
 
-    def test_database_overrides_reach_resolved_settings(self):
-        catalog, _ = self._catalog()
-        db = Database(catalog, enumeration_budget=7, parallel_workers=2,
-                      fallback_relation_threshold=5,
-                      parallel_executor="thread")
+    def test_database_settings_reach_the_plan(self):
+        catalog, query = self._catalog()
+        db = Database(catalog, settings=BfCboSettings(
+            enumeration_budget=7, parallel_workers=2,
+            fallback_relation_threshold=5, parallel_executor="thread"))
         settings = db.resolve_settings(OptimizerMode.NO_BF, None)
         assert settings.enumeration_budget == 7
         assert settings.parallel_workers == 2
         assert settings.fallback_relation_threshold == 5
+        result = db.connect(mode=OptimizerMode.NO_BF).plan(query)
+        assert result.settings.enumeration_budget == 7
+        assert result.optimization.settings.fallback_relation_threshold == 5
 
-    def test_session_overrides_win_over_database(self):
+    def test_session_settings_win_over_database(self):
         catalog, query = self._catalog()
-        db = Database(catalog, fallback_relation_threshold=5)
-        session = db.connect(fallback_relation_threshold=2,
-                             mode=OptimizerMode.NO_BF)
+        db = Database(catalog, settings=BfCboSettings(
+            fallback_relation_threshold=5))
+        session = db.connect(settings=BfCboSettings(
+            fallback_relation_threshold=2), mode=OptimizerMode.NO_BF)
         result = session.plan(query)
         assert result.settings.fallback_relation_threshold == 2
         assert result.optimization.enumeration_stats.fallback_engaged
 
-    def test_override_is_part_of_the_plan_cache_key(self):
+    def test_settings_are_part_of_the_plan_cache_key(self):
         catalog, query = self._catalog()
         db = Database(catalog)
         exact_session = db.connect(mode=OptimizerMode.NO_BF)
         greedy_session = db.connect(mode=OptimizerMode.NO_BF,
-                                    fallback_relation_threshold=2)
+                                    settings=BfCboSettings(
+                                        fallback_relation_threshold=2))
         exact_session.plan(query)
         greedy = greedy_session.plan(query)
         # Different resolved settings: the second plan must be a cache miss.
         assert not greedy.from_plan_cache
         assert db.cache_stats().plan_misses == 2
 
+    def test_invalid_parallel_executor_fails_at_construction(self):
+        catalog, _ = self._catalog()
+        with pytest.raises(ValueError):
+            Database(catalog, settings=BfCboSettings(
+                parallel_executor="porcess"))
+        with pytest.raises(ValueError):
+            Database(catalog).connect(settings=BfCboSettings(
+                parallel_executor="porcess"))
+
+    def test_call_settings_beat_database_settings(self):
+        catalog, query = self._catalog()
+        db = Database(catalog, settings=BfCboSettings(enumeration_budget=1))
+        exact = db.connect(mode=OptimizerMode.NO_BF).plan(
+            query, settings=BfCboSettings(enumeration_budget=0))
+        assert exact.settings.enumeration_budget == 0
+        assert not exact.optimization.enumeration_stats.fallback_engaged
+        budgeted = db.connect(mode=OptimizerMode.NO_BF).plan(query)
+        assert budgeted.settings.enumeration_budget == 1
+        assert budgeted.optimization.enumeration_stats.fallback_engaged
+
     def test_invalid_parallel_executor_is_rejected(self):
         with pytest.raises(ValueError):
             BfCboSettings.disabled().with_overrides(
                 parallel_executor="processes")
-
-    def test_invalid_parallel_executor_fails_at_construction(self):
-        catalog, _ = self._catalog()
-        with pytest.raises(ValueError):
-            Database(catalog, parallel_executor="porcess")
-        with pytest.raises(ValueError):
-            Database(catalog).connect(parallel_executor="porcess")
-
-    def test_explicit_settings_beat_constructor_knobs(self):
-        # Specificity: a per-call settings object is taken verbatim; the
-        # database's constructor knobs must not silently mutate it.
-        catalog, query = self._catalog()
-        db = Database(catalog, enumeration_budget=1)
-        exact = db.connect(mode=OptimizerMode.NO_BF).plan(
-            query, settings=BfCboSettings.disabled().with_overrides(
-                enumeration_budget=0))
-        assert exact.settings.enumeration_budget == 0
-        assert not exact.optimization.enumeration_stats.fallback_engaged
-        # Defaulted settings do receive the knob.
-        budgeted = db.connect(mode=OptimizerMode.NO_BF).plan(query)
-        assert budgeted.settings.enumeration_budget == 1
-        assert budgeted.optimization.enumeration_stats.fallback_engaged
 
     def test_parallel_knobs_do_not_fragment_the_plan_cache(self):
         # The sharded DP is bit-identical to serial, so sessions differing
@@ -482,6 +485,6 @@ class TestApiOverrides:
         catalog, query = self._catalog()
         db = Database(catalog)
         db.connect(mode=OptimizerMode.NO_BF).plan(query)
-        sharded = db.connect(mode=OptimizerMode.NO_BF,
-                             parallel_workers=4).plan(query)
+        sharded = db.connect(mode=OptimizerMode.NO_BF, settings=BfCboSettings(
+            parallel_workers=4)).plan(query)
         assert sharded.from_plan_cache

@@ -9,6 +9,9 @@ filter scoping fix).
 
 from __future__ import annotations
 
+import inspect
+import pathlib
+import re
 import threading
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.api import (
     OptimizerMode,
     PlanningError,
     ReproError,
+    Session,
     SqlError,
     make_schema,
     synthetic_statistics,
@@ -324,7 +328,7 @@ class TestConcurrentSessions:
     def test_two_sessions_have_independent_histories_and_metrics(self):
         db = make_database()
         first = db.connect()
-        second = db.connect(degree_of_parallelism=8)
+        second = db.connect()
         r1 = first.execute(JOIN_SQL)
         r2 = second.execute(JOIN_SQL)
         assert len(first.history) == 1 and len(second.history) == 1
@@ -503,3 +507,49 @@ class TestDatabaseHelpers:
         assert result.executed
         with pytest.raises(KeyError):
             Database(Catalog()).tpch_query(1)
+
+
+class TestDocumentedSurface:
+    def test_api_md_rows_list_exactly_the_keywords(self):
+        """docs/api.md's Surface rows name every constructor keyword."""
+        doc = (pathlib.Path(__file__).parents[1] / "docs" / "api.md").read_text()
+        for call, cls in (("Database", Database), ("db.connect", Session)):
+            rows = re.findall(r"^\| `%s\(([^)]*)\)`" % re.escape(call), doc,
+                              flags=re.MULTILINE)
+            assert len(rows) == 1, call
+            keyword_part = rows[0].split("*", 1)[1]
+            documented = [name.strip() for name in keyword_part.split(",")
+                          if name.strip()]
+            keywords = [name for name, param in
+                        inspect.signature(cls.__init__).parameters.items()
+                        if param.kind is inspect.Parameter.KEYWORD_ONLY]
+            assert documented == keywords, call
+
+    def test_database_rejects_the_session_and_planner_knobs(self):
+        """Executor knobs live on the session, planner knobs in settings."""
+        catalog = make_database().catalog
+        for knob, value in (("enumeration_budget", 1),
+                            ("fallback_relation_threshold", 2),
+                            ("parallel_workers", 2),
+                            ("parallel_executor", "thread"),
+                            ("executor_workers", 2), ("morsel_size", 64),
+                            ("executor_backend", "thread"),
+                            ("max_cross_join_rows", 10),
+                            ("max_memory_bytes", 1 << 20),
+                            ("max_spill_bytes", 1 << 20), ("max_rows", 10)):
+            with pytest.raises(TypeError):
+                Database(catalog, **{knob: value})
+
+    def test_session_rejects_the_database_and_planner_knobs(self):
+        """One level per knob: a database-level knob is not a session one."""
+        db = make_database()
+        for knob, value in (("enumeration_budget", 1),
+                            ("fallback_relation_threshold", 2),
+                            ("parallel_workers", 2),
+                            ("parallel_executor", "thread"),
+                            ("verify_plans", True), ("fault_plan", None),
+                            ("spill_dir", "spill"),
+                            ("degree_of_parallelism", 8),
+                            ("bloom_partitions", 4)):
+            with pytest.raises(TypeError):
+                db.connect(**{knob: value})

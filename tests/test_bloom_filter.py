@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import BloomFilter, PartitionedBloomFilter, partition_of
+from repro.bloom import BloomFilter
 
 
 class TestBloomFilterBasics:
@@ -91,33 +91,6 @@ class TestBloomFilterMerge:
         assert 5 not in original
 
 
-class TestPartitionedBloomFilter:
-    def test_partition_assignment_is_deterministic(self):
-        values = np.arange(1000)
-        first = partition_of(values, 8)
-        second = partition_of(values, 8)
-        assert np.array_equal(first, second)
-
-    def test_partitioned_no_false_negatives(self):
-        values = np.arange(0, 10_000, dtype=np.int64)
-        pbf = PartitionedBloomFilter.from_values(values, num_partitions=8)
-        assert bool(pbf.contains_many(values).all())
-
-    def test_merged_filter_no_false_negatives(self):
-        values = np.arange(0, 10_000, dtype=np.int64)
-        pbf = PartitionedBloomFilter.from_values(values, num_partitions=8)
-        merged = pbf.merge()
-        assert bool(merged.contains_many(values).all())
-
-    def test_invalid_partition_count(self):
-        with pytest.raises(ValueError):
-            PartitionedBloomFilter(0, 10)
-
-    def test_size_bytes_sums_partitions(self):
-        pbf = PartitionedBloomFilter(4, 100)
-        assert pbf.size_bytes == sum(f.size_bytes for f in pbf.partitions)
-
-
 class TestBloomFilterProperties:
     @given(st.lists(st.integers(min_value=-2**40, max_value=2**40),
                     min_size=1, max_size=500))
@@ -125,16 +98,3 @@ class TestBloomFilterProperties:
     def test_membership_of_inserted_values(self, values):
         bloom = BloomFilter.from_values(np.asarray(values, dtype=np.int64))
         assert bool(bloom.contains_many(np.asarray(values, dtype=np.int64)).all())
-
-    @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
-                    max_size=300),
-           st.integers(min_value=1, max_value=16))
-    @settings(max_examples=30, deadline=None)
-    def test_partitioned_equivalent_to_merged(self, values, partitions):
-        array = np.asarray(values, dtype=np.int64)
-        pbf = PartitionedBloomFilter.from_values(array, num_partitions=partitions)
-        probe = np.arange(0, 10_000, 97, dtype=np.int64)
-        partition_hits = pbf.contains_many(probe)
-        merged_hits = pbf.merge().contains_many(probe)
-        # The merged filter can only be more permissive (union of bits).
-        assert bool((merged_hits | ~partition_hits).all())

@@ -367,3 +367,28 @@ class TestOrderByNonProjected:
         # arbitrary representative row.
         with pytest.raises((PlanningError, ReproError)):
             session.execute("select grp from t group by grp order by score")
+
+
+class TestExchangeAccounting:
+    @pytest.mark.parametrize("dop", [2, 8, 16])
+    def test_broadcast_bytes_use_the_cost_model_dop(self, dop):
+        """The executor charges broadcasts at the DOP the optimizer priced."""
+        from repro.api import Database, OptimizerMode
+        from repro.core.cost import DEFAULT_COST_PARAMETERS
+        from repro.core.plans import ExchangeKind, ExchangeNode
+
+        db = Database.from_tpch(
+            0.005, cost_parameters=DEFAULT_COST_PARAMETERS.with_dop(dop))
+        result = db.connect().execute(db.tpch_query(12), OptimizerMode.BF_CBO)
+        actual = result.execution.metrics.actual_rows_by_node()
+        stack, expected, broadcasts = [result.optimization.plan], 0.0, 0
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if isinstance(node, ExchangeNode):
+                copies = 1
+                if node.kind is ExchangeKind.BROADCAST:
+                    copies, broadcasts = dop, broadcasts + 1
+                expected += actual[id(node)] * node.row_width * copies
+        assert broadcasts
+        assert result.execution.metrics.bytes_exchanged == expected

@@ -331,6 +331,24 @@ class TestForcedSpillSql:
         assert_batches_identical(want.execution.batch, got.execution.batch)
         assert memory["sort_spills"] > 0
 
+    def test_database_spill_dir_roots_every_session(self, tmp_path):
+        from repro.storage import Catalog
+
+        root = tmp_path / "spill"
+        database = Database(Catalog(), spill_dir=str(root))
+        database.register_table("t", {"v": np.arange(500)[::-1].copy()})
+        session = database.connect(history_limit=0, max_memory_bytes=1)
+        try:
+            assert session.context.spill_dir == str(root)
+            session.execute("SELECT v FROM t ORDER BY v")
+            assert session.executor_stats()["memory"]["sort_spills"] > 0
+        finally:
+            session.close()
+        # The root is created on the first spill; each query's own spill
+        # directory under it is removed when the query finishes.
+        assert root.is_dir()
+        assert list(root.iterdir()) == []
+
     def test_forced_spill_join_identical(self, nullable_db):
         rng = np.random.default_rng(11)
         nullable_db.register_table(
@@ -464,19 +482,19 @@ class TestWatchdogLimits:
         finally:
             session.close()
 
-    def test_database_level_limits_are_session_defaults(self, tpch_workload):
-        database = Database(tpch_workload.catalog, max_rows=10)
-        session = database.connect(history_limit=0)
-        override = database.connect(history_limit=0, max_rows=10 ** 9)
+    def test_max_rows_is_per_session(self, tpch_workload):
+        database = Database(tpch_workload.catalog)
+        session = database.connect(history_limit=0, max_rows=10)
+        unlimited = database.connect(history_limit=0)
         try:
             with pytest.raises(ResourceExhaustedError):
                 session.execute("SELECT l_orderkey FROM lineitem")
-            result = override.execute(
+            result = unlimited.execute(
                 "SELECT count(*) AS n FROM lineitem")
             assert result.execution.batch.num_rows == 1
         finally:
             session.close()
-            override.close()
+            unlimited.close()
 
     def test_knob_validation(self, tpch_workload):
         database = Database(tpch_workload.catalog)

@@ -25,13 +25,14 @@ from repro.errors import ExecutionError
 from repro.executor import (
     Batch,
     CompositeKeyIndex,
+    DEFAULT_MORSEL_SIZE,
     combine_key_columns,
     cross_join,
     equi_join,
-    executor_overrides,
     join_indices,
     sort_search_join_indices,
 )
+from repro.executor.joins import DEFAULT_MAX_CROSS_JOIN_ROWS
 from repro.executor import keys as keys_module
 from repro.storage import Table, make_schema
 from repro.storage.partitioning import PartitionedTable, RangePartitionSpec
@@ -118,10 +119,9 @@ def test_parallel_identical_with_nulls_and_composite_keys():
     results = []
     for workers, morsel in [(0, 65536), (3, 137), (4, 1024)]:
         db = Database(__import__("repro.storage",
-                                 fromlist=["Catalog"]).Catalog(),
-                      executor_workers=workers, morsel_size=morsel)
+                                 fromlist=["Catalog"]).Catalog())
         db.register_table("t", columns)
-        session = db.connect()
+        session = db.connect(executor_workers=workers, morsel_size=morsel)
         results.append(session.execute(
             "select k1, k2, tag, sum(v) as s, count(v) as c from t "
             "where v is not null or k2 < 0 "
@@ -383,23 +383,40 @@ class TestExecuteMany:
 
 
 class TestExecutorKnobs:
-    def test_database_default_and_session_override(self, tpch_workload):
-        db = Database(tpch_workload.catalog, executor_workers=6,
-                      morsel_size=123, max_cross_join_rows=77)
-        session = db.connect()
+    def test_session_knobs_reach_the_context(self, tpch_workload):
+        db = Database(tpch_workload.catalog)
+        session = db.connect(executor_workers=6, morsel_size=123,
+                             max_cross_join_rows=77)
         assert session.context.executor_workers == 6
         assert session.context.morsel_size == 123
         assert session.context.max_cross_join_rows == 77
-        override = db.connect(executor_workers=0, morsel_size=9)
-        assert override.context.executor_workers == 0
-        assert override.context.morsel_size == 9
-        assert override.context.max_cross_join_rows == 77
+        default = db.connect()
+        assert default.context.executor_workers == 0
+        assert default.context.morsel_size == DEFAULT_MORSEL_SIZE
+        assert default.context.max_cross_join_rows == \
+            DEFAULT_MAX_CROSS_JOIN_ROWS
 
-    def test_invalid_knobs_fail_eagerly(self):
+    def test_invalid_knobs_fail_eagerly(self, tpch_workload):
+        db = Database(tpch_workload.catalog)
         with pytest.raises(ValueError):
-            executor_overrides(morsel_size=0)
+            db.connect(morsel_size=0)
         with pytest.raises(ValueError):
-            executor_overrides(executor_workers=-1)
+            db.connect(executor_workers=-1)
+
+    def test_context_validates_its_own_knobs(self, tpch_workload):
+        # The checks live on ExecutionContext, so an executor built without
+        # a session gets them too.
+        from dataclasses import replace
+
+        from repro.executor import ExecutionContext
+
+        context = ExecutionContext.for_catalog(tpch_workload.catalog)
+        for knob, value in (("morsel_size", 0), ("executor_workers", -1),
+                            ("executor_backend", "greenlet"),
+                            ("max_memory_bytes", 0), ("max_spill_bytes", 0),
+                            ("max_rows", 0)):
+            with pytest.raises(ValueError):
+                replace(context, **{knob: value})
 
 
 # ---------------------------------------------------------------------------

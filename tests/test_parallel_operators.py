@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Database
+from repro.api import Database, Session
 from repro.core import ColumnRef, JoinClause
 from repro.core.expressions import AggregateCall, AggregateFunction
 from repro.core.query import JoinType
@@ -30,7 +30,6 @@ from repro.executor import (
     ShmArena,
     attach_array,
     equi_join,
-    executor_overrides,
     resolve_backend,
 )
 from repro.executor import aggregate as aggregate_module
@@ -258,10 +257,10 @@ class TestSegmentedAggregation:
         columns = {"k": rng.integers(0, 12, size), "v": values}
         results: List[Batch] = []
         for workers, morsel in [(0, 65536), (4, 113)]:
-            db = Database(Catalog(), executor_workers=workers,
-                          morsel_size=morsel)
+            db = Database(Catalog())
             db.register_table("t", columns)
-            results.append(db.connect().execute(
+            results.append(db.connect(executor_workers=workers,
+                                      morsel_size=morsel).execute(
                 "select k, sum(v) as s, avg(v) as a, count(v) as c, "
                 "min(v) as lo, max(v) as hi from t group by k order by k"
             ).execution.batch)
@@ -356,13 +355,13 @@ class _CountingClock:
 
 
 class TestMorselCancellation:
-    def _join_db(self, workers: int) -> Database:
-        db = Database(Catalog(), executor_workers=workers, morsel_size=32)
+    def _join_session(self, workers: int) -> Session:
+        db = Database(Catalog())
         rng = np.random.default_rng(2)
         db.register_table("a", {"k": rng.integers(0, 50, 2_000),
                                 "v": rng.normal(size=2_000)})
         db.register_table("b", {"k": np.arange(50)})
-        return db
+        return db.connect(executor_workers=workers, morsel_size=32)
 
     QUERY = ("select a.k, sum(a.v) as s from a, b "
              "where a.k = b.k group by a.k order by a.k")
@@ -371,7 +370,7 @@ class TestMorselCancellation:
     def test_deadline_trips_mid_execution(self, workers):
         """A deadline expiring after a fixed number of polls stops the query
         on both the inline (serial) and thread-pool morsel paths."""
-        session = self._join_db(workers).connect()
+        session = self._join_session(workers)
         clock = _CountingClock()
         token = CancelToken(deadline=25.0, clock=clock)
         with pytest.raises(QueryCancelledError):
@@ -381,16 +380,16 @@ class TestMorselCancellation:
         assert clock.now >= 25.0
 
     def test_pre_cancelled_token_stops_before_any_work(self):
-        session = self._join_db(2).connect()
+        session = self._join_session(2)
         token = CancelToken()
         token.cancel("abandoned")
         with pytest.raises(QueryCancelledError, match="abandoned"):
             session.execute(self.QUERY, cancel=token)
 
     def test_uncancelled_token_changes_nothing(self):
-        db = self._join_db(2)
-        want = db.connect().execute(self.QUERY)
-        got = db.connect().execute(self.QUERY, cancel=CancelToken())
+        session = self._join_session(2)
+        want = session.execute(self.QUERY)
+        got = session.execute(self.QUERY, cancel=CancelToken())
         assert_batches_identical(want.execution.batch, got.execution.batch)
 
 
@@ -477,12 +476,10 @@ class TestBackendKnob:
         with pytest.raises(ValueError):
             resolve_backend("greenlet")
 
-    def test_knob_validation_and_layering(self, tpch_workload):
+    def test_knob_validation(self, tpch_workload):
+        db = Database(tpch_workload.catalog)
         with pytest.raises(ValueError):
-            executor_overrides(executor_backend="greenlet")
-        db = Database(tpch_workload.catalog, executor_backend="process")
-        assert db.connect().context.executor_backend == "process"
-        override = db.connect(executor_backend="thread")
-        assert override.context.executor_backend == "thread"
-        with pytest.raises(ValueError):
-            db.connect(executor_backend="fiber")
+            db.connect(executor_backend="greenlet")
+        assert db.connect().context.executor_backend == "thread"
+        process = db.connect(executor_backend="process")
+        assert process.context.executor_backend == "process"

@@ -417,16 +417,6 @@ class TestKnobWiring:
         assert Database(tpch_catalog).verify_plans is False
         assert Database(tpch_catalog, verify_plans=True).verify_plans is True
 
-    def test_session_override_wins(self, tpch_catalog):
-        from repro.api import Database
-
-        db = Database(tpch_catalog, verify_plans=False)
-        session = db.connect(verify_plans=True)
-        assert session.verify_plans is True
-        # A session with no opinion inherits the database default at plan
-        # time (None means "defer").
-        assert db.connect().verify_plans is None
-
     def test_end_to_end_verified_execution(self, tpch_catalog):
         from repro.api import Database
 
