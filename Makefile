@@ -7,7 +7,8 @@
 # throughput benchmark gating the factorized join kernel and execute_many
 # batching at >= 2x (see docs/executor.md), a serving-latency benchmark
 # gating the shared result cache (>= 10x hot speedup, targeted
-# invalidation — see docs/serving.md), an examples smoke run that
+# invalidation — see docs/serving.md), a plan-cache benchmark gating
+# repeated same-shape traffic (docs/api.md), an examples smoke run that
 # drives the session API (docs/api.md) end to end at tiny scale, plus the
 # static-analysis gate: the engine lint suite, strict typing, and the
 # plan-contract verifier over the golden-plan corpus (see docs/analysis.md),
@@ -24,14 +25,18 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 check: lint typecheck verify-plans test chaos chaos-mem smoke examples
 
+# The unit suite plus the repository benchmark's end-to-end smoke test (all
+# five workloads at tiny scale, the only test driving the process backend
+# end to end with result and leak checks).
 test:
-	$(PYTHON) -m pytest tests -x -q
+	$(PYTHON) -m pytest tests benchmarks/e2e/test_e2e_smoke.py -x -q
 
 smoke:
 	$(PYTHON) -m pytest benchmarks/test_bench_planner_latency.py \
 		benchmarks/test_bench_null_overhead.py \
 		benchmarks/test_bench_executor_throughput.py \
-		benchmarks/test_bench_serving_latency.py -x -q \
+		benchmarks/test_bench_serving_latency.py \
+		benchmarks/test_bench_plan_cache.py -x -q \
 		--benchmark-json=.benchmarks/smoke.json
 
 examples:

@@ -98,14 +98,16 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset({
     "sorted", "sum", "min", "max", "any", "all", "len", "set", "frozenset",
 })
 
-#: Methods that hand their callable argument to a worker pool: the classic
-#: executor submission points plus the morsel-backend dispatchers
-#: (``thread_map`` on ``MorselPools`` and the runtime's ``_segment_map``
-#: inline-or-pool hook; ``process_map`` takes a kernel *name*, covered by
+#: Methods that hand a callable argument to a worker pool, mapped to that
+#: argument's position: the classic executor submission points plus the
+#: morsel-backend dispatchers (``thread_map`` on ``MorselPools``, the
+#: runtime's ``_segment_map`` and its span dispatcher ``_map_spans``, which
+#: takes the spans first; ``process_map`` takes a kernel *name*, covered by
 #: the module-level kernels the process workers import).
-WORKER_DISPATCH_METHODS = frozenset({
-    "submit", "map", "_map_ordered", "thread_map", "_segment_map",
-})
+WORKER_DISPATCH_METHODS: Dict[str, int] = {
+    "submit": 0, "map": 0, "thread_map": 0, "_segment_map": 0,
+    "_map_spans": 1,
+}
 
 #: Object attributes shared across worker threads: stores to these are
 #: flagged everywhere, not only in worker-reachable code (the per-module
@@ -389,11 +391,12 @@ def _worker_entry_points(tree: ast.AST) -> Tuple[Set[str], List[ast.Lambda]]:
     lambdas: List[ast.Lambda] = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in WORKER_DISPATCH_METHODS
-                and node.args):
+                and isinstance(node.func, ast.Attribute)):
             continue
-        target = node.args[0]
+        position = WORKER_DISPATCH_METHODS.get(node.func.attr)
+        if position is None or len(node.args) <= position:
+            continue
+        target = node.args[position]
         if isinstance(target, ast.Name):
             names.add(target.id)
         elif isinstance(target, ast.Attribute):

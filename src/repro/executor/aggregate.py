@@ -475,12 +475,8 @@ def aggregate_batch(batch: Batch, group_by: Sequence[ScalarExpression],
                     merged[item.name] = finalize_partial(
                         item.expression.func, folded[position])
             else:
-                if partials_map is None or len(spans) == 1:
-                    per_span = _inline_partials_map(calls_data, group_ids,
-                                                    num_groups, spans)
-                else:
-                    per_span = partials_map(calls_data, group_ids,
-                                            num_groups, spans)
+                per_span = (partials_map or _inline_partials_map)(
+                    calls_data, group_ids, num_groups, spans)
                 for position, item in enumerate(segmented):
                     partials = [span_partials[position]
                                 for span_partials in per_span]

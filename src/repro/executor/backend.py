@@ -47,10 +47,11 @@ from __future__ import annotations
 import importlib
 import sys
 import threading
-from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import (BrokenExecutor, Executor, Future,
+                                ProcessPoolExecutor, ThreadPoolExecutor)
+from functools import partial
 from multiprocessing import get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import ShmPressureError, WorkerCrashError
 from ..faults import FaultPlan, SITE_MORSEL_DISPATCH, SITE_POOL_SUBMIT
@@ -62,6 +63,9 @@ __all__ = [
     "resolve_backend",
     "run_kernel",
 ]
+
+#: A concrete pool type :meth:`MorselPools._acquire` builds.
+PoolT = TypeVar("PoolT", bound=Executor)
 
 #: The accepted values of the ``executor_backend`` knob.
 EXECUTOR_BACKENDS = ("thread", "process", "auto")
@@ -148,18 +152,29 @@ class MorselPools:
 
     # -- pool acquisition ---------------------------------------------------
 
-    def thread_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The shared morsel thread pool, rebuilt only when resized."""
+    def _acquire(self, name: str, workers: int,
+                 make: Callable[..., PoolT]) -> PoolT:
+        """The shared pool stored under ``_<name>``, rebuilt only on resize.
+
+        Every (re)build counts toward ``pools_created``; a pool being
+        replaced is shut down without waiting on its in-flight work.
+        """
         workers = max(int(workers), 1)
         with self._lock:
-            if self._thread_pool is None or self._thread_pool_size != workers:
-                if self._thread_pool is not None:
-                    self._thread_pool.shutdown(wait=False)
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-morsel")
-                self._thread_pool_size = workers
+            pool: Optional[PoolT] = getattr(self, "_" + name)
+            if pool is None or getattr(self, "_%s_size" % name) != workers:
+                if pool is not None:
+                    pool.shutdown(wait=False)
+                pool = make(max_workers=workers)
+                setattr(self, "_" + name, pool)
+                setattr(self, "_%s_size" % name, workers)
                 self._pools_created += 1
-            return self._thread_pool
+            return pool
+
+    def thread_pool(self, workers: int) -> ThreadPoolExecutor:
+        """The shared morsel thread pool, rebuilt only when resized."""
+        return self._acquire("thread_pool", workers, partial(
+            ThreadPoolExecutor, thread_name_prefix="repro-morsel"))
 
     def process_pool(self, workers: int) -> ProcessPoolExecutor:
         """The shared GIL-escape process pool (spawn start method).
@@ -169,17 +184,8 @@ class MorselPools:
         undefined-behaviour territory; spawn also propagates ``sys.path``
         so workers can import the kernels by name.
         """
-        workers = max(int(workers), 1)
-        with self._lock:
-            if self._process_pool is None \
-                    or self._process_pool_size != workers:
-                if self._process_pool is not None:
-                    self._process_pool.shutdown(wait=False)
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=get_context("spawn"))
-                self._process_pool_size = workers
-                self._pools_created += 1
-            return self._process_pool
+        return self._acquire("process_pool", workers, partial(
+            ProcessPoolExecutor, mp_context=get_context("spawn")))
 
     def batch_pool(self, workers: int) -> ThreadPoolExecutor:
         """The persistent ``execute_many`` batch pool (whole queries).
@@ -188,16 +194,8 @@ class MorselPools:
         composes with batch parallelism without deadlock; reused across
         ``execute_many`` calls instead of being rebuilt per call.
         """
-        workers = max(int(workers), 1)
-        with self._lock:
-            if self._batch_pool is None or self._batch_pool_size != workers:
-                if self._batch_pool is not None:
-                    self._batch_pool.shutdown(wait=False)
-                self._batch_pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-serve")
-                self._batch_pool_size = workers
-                self._pools_created += 1
-            return self._batch_pool
+        return self._acquire("batch_pool", workers, partial(
+            ThreadPoolExecutor, thread_name_prefix="repro-serve"))
 
     # -- dispatch -----------------------------------------------------------
 

@@ -304,13 +304,14 @@ class Batch:
     def spans(self, morsel_size: int) -> List[Tuple[int, int]]:
         """Morsel spans ``[(start, stop), ...]`` covering this batch's rows.
 
-        The canonical segmentation used by the morsel join probe and
-        parallel sort: contiguous, in row order, every span at most
-        ``morsel_size`` rows (an empty batch yields no spans).
+        The canonical segmentation used by the executor's join probe,
+        projection and parallel sort: contiguous, in row order, every span
+        at most ``morsel_size`` rows.  An empty batch yields one empty span,
+        so a zero-row input still runs its operator once, inline.
         """
         size = max(int(morsel_size), 1)
         return [(start, min(start + size, self._num_rows))
-                for start in range(0, self._num_rows, size)]
+                for start in range(0, self._num_rows, size)] or [(0, 0)]
 
     def head(self, n: int) -> "Batch":
         """First ``n`` rows."""

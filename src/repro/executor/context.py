@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -198,17 +197,7 @@ class ExecutionContext:
         """A fresh, empty filter scope for one plan execution."""
         return FilterScope()
 
-    # -- morsel worker pool ---------------------------------------------------
-
-    def morsel_pool(self) -> ThreadPoolExecutor:
-        """The shared morsel thread pool, sized to ``executor_workers``.
-
-        Created lazily and rebuilt if the knob changed since the last
-        execution.  Morsel tasks never submit further pool work, so any
-        number of concurrent executions can share the pool without deadlock
-        (batched serving uses its own, separate pool for whole queries).
-        """
-        return self.pools.thread_pool(max(int(self.executor_workers), 1))
+    # -- worker pools ---------------------------------------------------------
 
     def executor_stats(self) -> Dict[str, object]:
         """Pool-lifecycle and dispatch counters plus the resolved knobs.
@@ -238,8 +227,8 @@ class ExecutionContext:
 
         Called by :meth:`Session.close <repro.api.session.Session.close>`;
         without it the lazily created pools' workers live until interpreter
-        exit.  A later :meth:`morsel_pool` call would lazily rebuild the
-        pool, but sessions guard execution after close so it never happens
+        exit.  A later execution would lazily rebuild the pools it needs,
+        but sessions guard execution after close so it never happens
         through the API.
         """
         self.pools.close()

@@ -9,19 +9,18 @@ it — is executed.  This mirrors the paper's runtime rule that "table scans
 wait for all Bloom filter partitions to become available before scanning can
 proceed" (Section 3.9).
 
-With ``executor_workers > 1`` on the context, every operator runs
-*morsel-at-a-time*: scans and projections split into per-partition row spans
-(:meth:`~repro.storage.table.Table.morsel_spans`), hash joins probe the
-memoized build-side index one probe morsel at a time, aggregation computes
-fixed-width segment partials and sorts form per-morsel runs merged pairwise.
-Morsels run on the shared thread pool or — under
-``executor_backend="process"`` — in a spawn-based process pool that escapes
-the GIL, with bulk arrays shipped through ``multiprocessing.shared_memory``
-(zero-copy worker views; see ``repro.executor.shm``).  On every path the
-pieces recombine in canonical span order, so output batches and all
-simulated metrics are bit-identical to the serial operators (see
+Every operator fans its per-span work out through one dispatcher,
+:meth:`Executor._map_spans`: one span runs inline, several spans run in the
+spawn-based process pool when the operator has a worker kernel and
+``executor_backend="process"`` is active (bulk arrays shipped once through
+``multiprocessing.shared_memory``; see ``repro.executor.shm``), and on the
+morsel thread pool or an inline loop otherwise.  Join probes, aggregate
+partials and sort runs have process kernels; scans and projections have none
+and never leave the process.  On every route the pieces recombine in
+canonical span order, so output batches and all simulated metrics are
+bit-identical to serial execution (the operator × route table is in
 ``docs/executor.md``).  The Bloom barrier is preserved: a scan fetches every
-filter it depends on *before* dispatching its first morsel.
+filter it depends on *before* dispatching its first span.
 
 Every operator records its observed output cardinality and charges work units
 using the optimizer's cost constants with *actual* row counts, which yields
@@ -33,13 +32,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 import numpy as np
@@ -98,8 +97,10 @@ from .sort import (
     spill_sort_order,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..storage.table import Table
+#: A morsel's ``[start, stop)`` row range.
+Span = Tuple[int, int]
+S = TypeVar("S")
+T = TypeVar("T")
 
 
 @dataclass
@@ -228,27 +229,24 @@ class Executor:
         if self.cancel is not None:
             self.cancel.check()
 
-    # -- morsel helpers ----------------------------------------------------
+    # -- span dispatch -----------------------------------------------------
 
     def _morsel_workers(self) -> int:
         """Effective morsel worker count (``<= 1`` = serial operators)."""
         return max(int(self.context.executor_workers), 0)
 
-    def _resolved_backend(self) -> str:
-        """The concrete morsel backend this execution dispatches to."""
-        return resolve_backend(self.context.executor_backend)
-
     def _process_backend_active(self) -> bool:
-        """True when morsels should run in the GIL-escape process pool.
+        """True when a fan-out should run in the GIL-escape process pool.
 
         One call is one dispatch decision for the context's circuit
-        breaker: while the breaker is open the operator silently runs on
-        the thread backend instead (identical results, different
-        parallelism substrate), and the call that exhausts the cooldown
-        admits the half-open probe.
+        breaker, so only :meth:`_map_spans` asks, and only for an operator
+        about to send several spans to a worker kernel: while the breaker
+        is open the operator silently runs on the thread backend instead
+        (identical results, different parallelism substrate), and the call
+        that exhausts the cooldown admits the half-open probe.
         """
         if self._morsel_workers() <= 1 \
-                or self._resolved_backend() != "process":
+                or resolve_backend(self.context.executor_backend) != "process":
             return False
         return self.context.breaker.allow()
 
@@ -278,34 +276,42 @@ class Executor:
             self._shm_arena = ShmArena(faults=self.context.fault_plan)
         return self._shm_arena
 
-    def _map_ordered(self, fn: Callable, items: Sequence) -> List:
-        """Run ``fn`` over ``items`` on the morsel thread pool, in order.
+    def _map_spans(self, spans: Sequence[Span], local: Callable[[Span], T],
+                   kernel: Optional[str] = None,
+                   export: Optional[Callable[[ShmArena], object]] = None,
+                   ) -> List[T]:
+        """Run one operator's per-span work on its route, in span order.
 
-        Submission order is preserved, so concatenating the results
-        reproduces the serial output exactly; the first worker exception
-        propagates to the caller.
-
-        With a cancel token on the execution, every morsel re-checks the
-        token before doing any work — a request abandoned mid-operator
-        therefore stops within one morsel: in-flight morsels finish, queued
-        ones raise immediately and the error propagates from the first
-        failing future.
+        The only place a route is picked.  One span runs ``local`` inline
+        with no checkpoint.  Several spans go to the process pool when the
+        operator names a worker ``kernel`` and the process backend is active
+        (``export(arena)`` ships the operands once; each task receives
+        ``(payload, start, stop)``), and through :meth:`_segment_map`
+        otherwise.
         """
-        return self.context.pools.thread_map(fn, items, self.cancel,
-                                             self._morsel_workers(),
-                                             faults=self.context.fault_plan)
+        if len(spans) == 1:
+            return [local(spans[0])]
+        if kernel is not None and self._process_backend_active():
+            assert export is not None  # a kernel needs its operands shipped
+            payload = export(self._arena())
+            return self._process_map(
+                kernel, [(payload, start, stop) for start, stop in spans])
+        return self._segment_map(local, spans)
 
-    def _segment_map(self, fn: Callable, items: Sequence) -> List:
-        """Map ``fn`` over morsel spans on whichever path is active.
+    def _segment_map(self, fn: Callable[[S], T], items: Sequence[S],
+                     ) -> List[T]:
+        """Map ``fn`` over ``items`` on the thread pool or inline, in order.
 
-        Parallel executions dispatch to the shared thread pool; serial
-        executions run inline but still poll the cancel token per item, so
-        "stops within one morsel" holds for joins, aggregation and sort
-        even at ``executor_workers <= 1``.
+        Parallel executions dispatch to the shared thread pool (results in
+        submission order; the first worker exception propagates).  Serial
+        executions run inline but still poll the cancel token and the
+        ``morsel-dispatch`` fault site per item, so "stops within one
+        morsel" holds on every route even at ``executor_workers <= 1``.
         """
-        if self._morsel_workers() > 1 and len(items) > 1:
-            return self._map_ordered(fn, items)
         faults = self.context.fault_plan
+        if self._morsel_workers() > 1 and len(items) > 1:
+            return self.context.pools.thread_map(
+                fn, items, self.cancel, self._morsel_workers(), faults=faults)
         results = []
         for item in items:
             if self.cancel is not None:
@@ -318,64 +324,27 @@ class Executor:
     # -- scans ------------------------------------------------------------
 
     def _execute_scan(self, node: ScanNode) -> Batch:
-        cost_model = self.context.cost_model
-        table = self.context.catalog.table(node.table_name)
-        # Morsels only pay off when there is per-row work to spread; a bare
-        # scan with nothing to filter stays on the zero-copy serial path
-        # instead of concatenating unfiltered slices back together.
-        spans = (table.morsel_spans(self.context.morsel_size)
-                 if self._morsel_workers() > 1
-                 and (node.predicates or node.bloom_filters) else [])
-        if len(spans) > 1:
-            return self._execute_scan_morsels(node, table, spans)
-        batch = Batch.from_table(node.alias, table)
-        base_rows = batch.num_rows
-        work = cost_model.seq_scan(base_rows, node.row_width,
-                                   len(node.predicates)).total
-        self.metrics.rows_scanned += base_rows
-
-        for predicate in node.predicates:
-            batch = self._apply_predicate(batch, predicate)
-
-        pre_bloom_rows = batch.num_rows
-        for spec in node.bloom_filters:
-            bloom = self.filters.get_filter(spec.filter_id)
-            values, null_mask = batch.resolve_masked(spec.apply_column)
-            mask = bloom.contains_many(values)
-            if null_mask is not None:
-                # A NULL key can never match the transferred join predicate.
-                mask = mask & ~null_mask
-            work += cost_model.bloom_apply(batch.num_rows, 1).total
-            self.metrics.bloom_probes += batch.num_rows
-            batch = batch.filter(mask)
-            self.metrics.bloom_filters_applied += 1
-        self.metrics.rows_bloom_filtered += pre_bloom_rows - batch.num_rows
-
-        # Scan filtering and Bloom probing are row-local: all of the work
-        # spreads over morsels.
-        self.metrics.record(node, batch.num_rows, work, input_rows=base_rows,
-                            parallel_work=work, parallel_rows=base_rows)
-        return batch
-
-    def _execute_scan_morsels(self, node: ScanNode, table: "Table",
-                              spans: Sequence[Tuple[int, int]]) -> Batch:
-        """Morsel-parallel scan: filter + Bloom-probe each span, then concat.
+        """Filter and Bloom-probe a table, span by span.
 
         The Bloom barrier sits in front of the dispatch: every filter this
-        scan applies is fetched *before* the first morsel starts (the paper's
+        scan applies is fetched *before* the first span starts (the paper's
         "table scans wait for all Bloom filter partitions" rule, Section
-        3.9); a missing filter raises exactly as on the serial path.  Work
+        3.9); a missing filter raises on every route.  Serial is one span
+        over the whole table; morsels only pay off when there is per-row
+        work to spread, so a bare scan stays one zero-copy span.  Work
         units and probe counters are charged from the per-stage row totals,
         which equal the serial stage row counts because predicate and Bloom
-        filtering are row-local — the simulated latency is unchanged by the
-        parallel path.
+        filtering are row-local.
         """
         cost_model = self.context.cost_model
+        table = self.context.catalog.table(node.table_name)
         blooms = [(spec, self.filters.get_filter(spec.filter_id))
                   for spec in node.bloom_filters]
+        spans = (table.morsel_spans(self.context.morsel_size)
+                 if self._morsel_workers() > 1
+                 and (node.predicates or blooms) else [])
 
-        def scan_span(span: Tuple[int, int],
-                      ) -> Tuple[Batch, int, List[int]]:
+        def scan_span(span: Span) -> Tuple[Batch, int, List[int]]:
             batch = Batch.from_table(node.alias, table, span[0], span[1])
             for predicate in node.predicates:
                 batch = self._apply_predicate(batch, predicate)
@@ -386,11 +355,12 @@ class Executor:
                 values, null_mask = batch.resolve_masked(spec.apply_column)
                 mask = bloom.contains_many(values)
                 if null_mask is not None:
+                    # A NULL key can never match the transferred predicate.
                     mask = mask & ~null_mask
                 batch = batch.filter(mask)
             return batch, pre_rows, stage_rows
 
-        results = self._map_ordered(scan_span, spans)
+        results = self._map_spans(spans or [(0, table.num_rows)], scan_span)
         base_rows = table.num_rows
         work = cost_model.seq_scan(base_rows, node.row_width,
                                    len(node.predicates)).total
@@ -403,6 +373,8 @@ class Executor:
             self.metrics.bloom_filters_applied += 1
         batch = Batch.concat([piece for piece, _, _ in results])
         self.metrics.rows_bloom_filtered += pre_bloom_rows - batch.num_rows
+        # Scan filtering and Bloom probing are row-local: all of the work
+        # spreads over morsels.
         self.metrics.record(node, batch.num_rows, work, input_rows=base_rows,
                             parallel_work=work, parallel_rows=base_rows)
         return batch
@@ -459,9 +431,9 @@ class Executor:
         """Equi-join with the probe side morselised.
 
         The build side is factorized exactly once (memoized on the inner
-        batch); probe morsels run serially with per-morsel cancel polling,
-        on the thread pool, or in worker processes over shared-memory
-        columns.  Per-span pair results concatenate to the whole-batch pair
+        batch); probe morsels run through :meth:`_map_spans` (inline, on
+        the thread pool, or in worker processes over shared-memory
+        columns).  Per-span pair results concatenate to the whole-batch pair
         list bit-for-bit, and the serial stitch tail handles SEMI/ANTI
         filtering and LEFT/FULL padding identically on every path.
 
@@ -482,25 +454,15 @@ class Executor:
         try:
             index, probe_cols, probe_null = build_probe_state(outer, inner,
                                                               node.clauses)
-            spans = outer.spans(self.context.morsel_size)
-            if len(spans) > 1:
-                if self._process_backend_active():
-                    payload = export_probe_task(index, probe_cols, probe_null,
-                                                self._arena())
-                    results = self._process_map(
-                        "repro.executor.joins:probe_morsel_kernel",
-                        [(payload, start, stop) for start, stop in spans])
-                else:
-                    results = self._segment_map(
-                        lambda span: probe_span_pairs(index, probe_cols,
-                                                      probe_null, *span),
-                        spans)
-                probe_idx, build_idx, counts = concat_pair_results(results)
-            else:
-                probe_idx, build_idx, counts = index.probe(probe_cols,
-                                                           probe_null)
+            results = self._map_spans(
+                outer.spans(self.context.morsel_size),
+                lambda span: probe_span_pairs(index, probe_cols, probe_null,
+                                              *span),
+                kernel="repro.executor.joins:probe_morsel_kernel",
+                export=lambda arena: export_probe_task(
+                    index, probe_cols, probe_null, arena))
             return stitch_equi_join(outer, inner, node.join_type,
-                                    probe_idx, build_idx, counts)
+                                    *concat_pair_results(results))
         finally:
             if budget is not None:
                 budget.release(build_bytes)
@@ -558,7 +520,7 @@ class Executor:
     def _execute_aggregate(self, node: AggregateNode) -> Batch:
         batch = self._execute(node.child)
         result = aggregate_batch(batch, node.group_by, node.aggregates,
-                                 partials_map=self._partials_map(),
+                                 partials_map=self._partials_map,
                                  budget=self._budget, poll=self._poll)
         work = self.context.cost_model.aggregate(batch.num_rows,
                                                  result.num_rows).total
@@ -572,54 +534,29 @@ class Executor:
                             parallel_rows=batch.num_rows)
         return result
 
-    def _partials_map(self) -> Callable[
-            [Sequence[CallData], np.ndarray, int, Sequence[Tuple[int, int]]],
-            List[List[Partial]]]:
-        """The backend hook :func:`aggregate_batch` fans partials out with.
-
-        Thread / serial executions map :func:`compute_segment_partials`
-        through :meth:`_segment_map` (per-segment cancel polling included);
-        the process backend exports the operand arrays and group ids into
-        shared memory once and runs the segment kernel in worker processes.
-        """
-        if self._process_backend_active():
-            def process_partials(calls_data: Sequence[CallData],
-                                 group_ids: np.ndarray, num_groups: int,
-                                 spans: Sequence[Tuple[int, int]],
-                                 ) -> List[List[Partial]]:
-                payload = export_partials_task(self._arena(), calls_data,
-                                               group_ids, num_groups)
-                return self._process_map(
-                    "repro.executor.aggregate:segment_partials_kernel",
-                    [(payload, start, stop) for start, stop in spans])
-            return process_partials
-
-        def local_partials(calls_data: Sequence[CallData],
-                           group_ids: np.ndarray, num_groups: int,
-                           spans: Sequence[Tuple[int, int]],
-                           ) -> List[List[Partial]]:
-            return self._segment_map(
-                lambda span: compute_segment_partials(
-                    calls_data, group_ids, num_groups, *span),
-                spans)
-        return local_partials
+    def _partials_map(self, calls_data: Sequence[CallData],
+                      group_ids: np.ndarray, num_groups: int,
+                      spans: Sequence[Span]) -> List[List[Partial]]:
+        """The :data:`~repro.executor.aggregate.PartialsMap` hook
+        :func:`aggregate_batch` fans segment partials out with."""
+        return self._map_spans(
+            spans,
+            lambda span: compute_segment_partials(calls_data, group_ids,
+                                                  num_groups, *span),
+            kernel="repro.executor.aggregate:segment_partials_kernel",
+            export=lambda arena: export_partials_task(
+                arena, calls_data, group_ids, num_groups))
 
     def _execute_project(self, node: ProjectNode) -> Batch:
         batch = self._execute(node.child)
-        morsel_size = max(int(self.context.morsel_size), 1)
-        if self._morsel_workers() > 1 and batch.num_rows > morsel_size:
-            # Projection is row-local, so morsels project independently and
-            # concatenate back in span order; a column is mask-free iff no
-            # span produced a NULL, matching the serial normalization.
-            spans = [(start, min(start + morsel_size, batch.num_rows))
-                     for start in range(0, batch.num_rows, morsel_size)]
-            pieces = self._map_ordered(
-                lambda span: self._project_batch(node,
-                                                 batch.row_span(*span)),
-                spans)
-            result = Batch.concat(pieces)
-        else:
-            result = self._project_batch(node, batch)
+        # Projection is row-local, so morsels project independently and
+        # concatenate back in span order; a column is mask-free iff no span
+        # produced a NULL, matching the serial normalization.
+        spans = (batch.spans(self.context.morsel_size)
+                 if self._morsel_workers() > 1 else [(0, batch.num_rows)])
+        result = Batch.concat(self._map_spans(
+            spans,
+            lambda span: self._project_batch(node, batch.row_span(*span))))
         work = self.context.cost_model.project(batch.num_rows,
                                                len(node.items)).total
         self.metrics.record(node, result.num_rows, work,
@@ -671,7 +608,7 @@ class Executor:
                     # The mask outranks the values: NULLs sort last by
                     # default, first when the item says NULLS FIRST.
                     keys.append(~null_mask if item.nulls_first else null_mask)
-            order = self._sort_order(keys, batch.num_rows)
+            order = self._sort_order(keys, batch)
             batch = batch.take(order)
         if node.drop_keys:
             # Hidden sort keys carried through the projection solely for
@@ -692,7 +629,7 @@ class Executor:
                             parallel_rows=batch.num_rows)
         return batch
 
-    def _sort_order(self, keys: List[np.ndarray], num_rows: int) -> np.ndarray:
+    def _sort_order(self, keys: List[np.ndarray], batch: Batch) -> np.ndarray:
         """The sort permutation: serial ``lexsort`` or parallel merge sort.
 
         The parallel path folds the key arrays into one int64 rank key,
@@ -707,31 +644,23 @@ class Executor:
         runs from spill files with the identical pairing discipline and
         therefore yields the identical permutation.
         """
-        morsel_size = max(int(self.context.morsel_size), 1)
+        spans = batch.spans(self.context.morsel_size)
         budget = self._budget
-        sort_bytes = estimate_sort_bytes(num_rows)
+        sort_bytes = estimate_sort_bytes(batch.num_rows)
         reserved = budget.try_reserve(sort_bytes) \
             if budget is not None else True
         if not reserved:
             assert budget is not None  # a denial implies a budget
-            spans = [(start, min(start + morsel_size, num_rows))
-                     for start in range(0, num_rows, morsel_size)]
             return spill_sort_order(combined_sort_key(keys), spans, budget,
                                     poll=self._poll)
         try:
-            if self._morsel_workers() <= 1 or num_rows <= morsel_size:
+            if self._morsel_workers() <= 1 or len(spans) == 1:
                 return np.lexsort(keys)
             key = combined_sort_key(keys)
-            spans = [(start, min(start + morsel_size, num_rows))
-                     for start in range(0, num_rows, morsel_size)]
-            if self._process_backend_active():
-                key_ref = self._arena().export(key)
-                runs = self._process_map(
-                    "repro.executor.sort:sort_run_kernel",
-                    [(key_ref, start, stop) for start, stop in spans])
-            else:
-                runs = self._segment_map(lambda span: sort_run(key, *span),
-                                         spans)
+            runs = self._map_spans(
+                spans, lambda span: sort_run(key, *span),
+                kernel="repro.executor.sort:sort_run_kernel",
+                export=lambda arena: arena.export(key))
             return merge_run_list(key, runs, self._segment_map)
         finally:
             if budget is not None:

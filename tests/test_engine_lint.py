@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_paths, lint_source
 
 
@@ -246,21 +248,23 @@ class TestWorkerSharedMutation:
         """)
         assert rules_of(findings) == {"worker-shared-mutation"}
 
-    def test_segment_map_dispatch_is_covered(self):
-        # The runtime's inline-or-pool hook dispatches to workers too, so a
-        # mutation reachable from its callable is flagged.
+    @pytest.mark.parametrize("dispatch", [
+        "self._segment_map(self.work, spans)",
+        "self._map_spans(spans, self.work)",
+    ], ids=["_segment_map", "_map_spans"])
+    def test_segment_map_dispatch_is_covered(self, dispatch):
+        # The runtime's dispatchers hand their callable to workers too (the
+        # span dispatcher takes it second), so a mutation reachable from it
+        # is flagged.
         findings = findings_for("""
             class Runtime:
                 def run(self, spans: list) -> list:
-                    return self._segment_map(self.work, spans)
-
-                def _segment_map(self, fn: object, items: list) -> list:
-                    return [fn(item) for item in items]
+                    return %s
 
                 def work(self, span: int) -> int:
                     self.hits += 1
                     return span
-        """)
+        """ % dispatch)
         assert rules_of(findings) == {"worker-shared-mutation"}
 
     def test_shared_attribute_store_outside_constructor(self):

@@ -431,6 +431,30 @@ class TestWorkerCrashRecovery:
             session.close()
 
 
+def test_breaker_consulted_only_on_fan_out(tpch_workload):
+    """A dispatch that stays in the process asks the breaker nothing.
+
+    ``nation`` fits one aggregate segment, so its GROUP BY fans nothing out:
+    an open breaker must neither spend cooldown nor count a degraded
+    dispatch on it, and no pool is ever built.
+    """
+    database, session = chaos_session(tpch_workload, None, "process")
+    breaker = CircuitBreaker(failure_threshold=1, cooldown=5)
+    breaker.record_failure()
+    session.context.breaker = breaker
+    try:
+        for _ in range(2):
+            session.execute("select n_regionkey, count(*) as c from nation "
+                            "group by n_regionkey")
+        stats = breaker.stats()
+        assert stats["state"] == STATE_OPEN
+        assert stats["cooldown_remaining"] == 5
+        assert stats["degraded_dispatches"] == 0
+        assert session.executor_stats()["pools_created"] == 0
+    finally:
+        session.close()
+
+
 # ---------------------------------------------------------------------------
 # The chaos matrix: seeded multi-site plans, results must not change
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ pool reuse across ``execute_many``, and the shared-memory shipping layer.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List
 
 import numpy as np
@@ -21,12 +22,24 @@ from hypothesis import strategies as st
 
 from repro.api import Database, Session
 from repro.core import ColumnRef, JoinClause
-from repro.core.expressions import AggregateCall, AggregateFunction
-from repro.core.query import JoinType
+from repro.core.candidates import BloomFilterSpec
+from repro.core.cardinality import BloomEstimate
+from repro.core.expressions import (
+    AggregateFunction,
+    Arithmetic,
+    ArithmeticOp,
+    Comparison,
+    ComparisonOp,
+    Literal,
+)
+from repro.core.plans import JoinNode, ProjectNode, ScanNode
+from repro.core.query import JoinType, OutputItem
 from repro.errors import QueryCancelledError
 from repro.executor import (
     Batch,
     CancelToken,
+    ExecutionContext,
+    Executor,
     ShmArena,
     attach_array,
     equi_join,
@@ -336,6 +349,58 @@ def test_tpch_sort_heavy_query_identical(tpch_db, serial_reference):
                               morsel_size=2)
     got = session.execute(tpch_db.workload.query(number))
     assert_batches_identical(want.execution.batch, got.execution.batch)
+
+
+def test_empty_inputs_identical_on_every_route():
+    """Zero rows through a filtered, Bloom-probed scan, an empty probe side
+    and an empty projection: every route runs one empty span and yields the
+    serial batch and metrics."""
+    catalog = Catalog()
+    catalog.register_table(Table(
+        make_schema("e", [("k", INT64), ("v", FLOAT64, True)]),
+        {"k": np.zeros(0, dtype=np.int64), "v": np.zeros(0)}))
+    catalog.register_table(Table(make_schema("d", [("k", INT64)]),
+                                 {"k": np.arange(10)}))
+    bloom = BloomFilterSpec(
+        filter_id="bf", apply_column=ColumnRef("e", "k"),
+        build_column=ColumnRef("d", "k"), delta=frozenset({"d"}),
+        estimate=BloomEstimate(selectivity=0.5, false_positive_rate=0.01,
+                               build_ndv=10.0))
+    probe = ScanNode(alias="e", table_name="e", bloom_filters=(bloom,),
+                     predicates=(Comparison(ComparisonOp.GT,
+                                            ColumnRef("e", "v"),
+                                            Literal(0.0)),))
+    join = JoinNode(outer=probe, inner=ScanNode(alias="d", table_name="d"),
+                    clauses=(JoinClause(ColumnRef("e", "k"),
+                                        ColumnRef("d", "k")),),
+                    built_filters=(bloom,))
+    plan = ProjectNode(child=join, items=(
+        OutputItem(Arithmetic(ArithmeticOp.ADD, ColumnRef("e", "v"),
+                              Literal(1.0)), "y"),
+        OutputItem(ColumnRef("d", "k"), "dk")))
+
+    def metrics_of(result) -> dict:
+        fields = dataclasses.asdict(result.metrics)
+        del fields["wall_time_seconds"]
+        return fields
+
+    results = []
+    for knobs in ({},
+                  {"executor_workers": 2, "morsel_size": 4},
+                  {"executor_workers": 2, "morsel_size": 4,
+                   "executor_backend": "process"}):
+        context = ExecutionContext(catalog=catalog, **knobs)
+        try:
+            results.append(Executor(context).execute(plan))
+            assert context.pools.stats()["pools_created"] == 0
+        finally:
+            context.pools.close()
+    want = results[0]
+    assert want.batch.keys == ["y", "dk"] and want.num_rows == 0
+    assert want.metrics.bloom_filters_applied == 1
+    for got in results[1:]:
+        assert_batches_identical(want.batch, got.batch)
+        assert metrics_of(got) == metrics_of(want)
 
 
 # ---------------------------------------------------------------------------
