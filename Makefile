@@ -44,6 +44,9 @@ examples:
 	$(PYTHON) examples/heuristic_ablation.py --scale 0.005 --queries 3,12,19
 	$(PYTHON) examples/execute_many_serving.py --scale 0.005
 	$(PYTHON) examples/async_serving.py --scale 0.005
+	$(PYTHON) examples/running_example_paper.py
+	$(PYTHON) examples/tpch_q12_join_reversal.py --scale 0.005
+	$(PYTHON) examples/tpch_q7_predicate_transfer.py --scale 0.005
 
 # Engine-invariant lint (stdlib-only, see docs/analysis.md for the rules).
 lint:

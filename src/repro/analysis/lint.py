@@ -99,14 +99,16 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset({
 })
 
 #: Methods that hand a callable argument to a worker pool, mapped to that
-#: argument's position: the classic executor submission points plus the
-#: morsel-backend dispatchers (``thread_map`` on ``MorselPools``, the
-#: runtime's ``_segment_map`` and its span dispatcher ``_map_spans``, which
-#: takes the spans first; ``process_map`` takes a kernel *name*, covered by
-#: the module-level kernels the process workers import).
-WORKER_DISPATCH_METHODS: Dict[str, int] = {
-    "submit": 0, "map": 0, "thread_map": 0, "_segment_map": 0,
-    "_map_spans": 1,
+#: argument's (position, parameter name): the classic executor submission
+#: points plus the morsel-backend dispatchers (``thread_map`` on
+#: ``MorselPools``, the runtime's ``_segment_map`` and its span dispatcher
+#: ``_map_spans``, which takes the spans first; ``process_map`` takes a
+#: kernel *name*, covered by the module-level kernels the process workers
+#: import).  ``Executor.submit`` takes its callable positional-only, so it
+#: has no name.
+WORKER_DISPATCH_METHODS: Dict[str, Tuple[int, Optional[str]]] = {
+    "submit": (0, None), "map": (0, "fn"), "thread_map": (0, "fn"),
+    "_segment_map": (0, "fn"), "_map_spans": (1, "local"),
 }
 
 #: Object attributes shared across worker threads: stores to these are
@@ -393,10 +395,13 @@ def _worker_entry_points(tree: ast.AST) -> Tuple[Set[str], List[ast.Lambda]]:
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)):
             continue
-        position = WORKER_DISPATCH_METHODS.get(node.func.attr)
-        if position is None or len(node.args) <= position:
+        slot = WORKER_DISPATCH_METHODS.get(node.func.attr)
+        if slot is None:
             continue
-        target = node.args[position]
+        position, keyword = slot
+        target = node.args[position] if len(node.args) > position \
+            else next((kw.value for kw in node.keywords
+                       if keyword and kw.arg == keyword), None)
         if isinstance(target, ast.Name):
             names.add(target.id)
         elif isinstance(target, ast.Attribute):

@@ -486,10 +486,9 @@ class Database:
             # stale result is neither served nor kept.
             planned_version = self.catalog.version
             self._invalidate_if_catalog_changed()
-            # Key on the plan-relevant settings only: the sharded DP is
-            # bit-identical to serial, so sessions differing solely in
-            # parallel knobs share one cached plan.
-            key = (query.fingerprint(), mode, settings.plan_relevant())
+            # Every settings field can change the plan, so the resolved
+            # settings are part of the key as they are.
+            key = (query.fingerprint(), mode, settings)
             cached = self._plan_cache.lookup(key)
             if cached is not None and self.catalog.version == planned_version:
                 return cached[0], True
@@ -530,12 +529,12 @@ class Database:
     def _result_key(self, result: "QueryResult") -> Tuple[Hashable, ...]:
         """The result-cache key of one planned query.
 
-        Same projection as the plan cache (fingerprint, mode, plan-relevant
+        Same projection as the plan cache (fingerprint, mode, resolved
         settings) plus the full-invalidation epoch — see
         :class:`~repro.serving.cache.ResultCache`.
         """
         return ResultCache.key(result.query.fingerprint(), result.mode,
-                               result.settings.plan_relevant(),
+                               result.settings,
                                self._result_epoch)
 
     def cached_result(self, result: "QueryResult",

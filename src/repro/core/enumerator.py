@@ -34,7 +34,7 @@ from ..cache import LruCache
 from ..storage.catalog import Catalog
 from .candidates import BloomFilterSpec
 from .cardinality import CardinalityEstimator
-from .cost import Cost, CostModel, CostPair, CostParameters, add_pair
+from .cost import Cost, CostModel, CostPair, add_pair
 from .expressions import ColumnRef, Predicate
 from .greedy import greedy_unordered_pairs
 from .heuristics import BfCboSettings
@@ -99,22 +99,12 @@ class EnumerationStatistics:
     cross_products_stitched: int = 0
     #: Adaptive-planning telemetry (docs/enumeration.md): did the exact DPccp
     #: walk hit its pair budget, did the greedy fallback supply the pair
-    #: sequence (and why: "budget" or "relations"), how many merge steps the
-    #: greedy join tree has, and how many shard *tasks* the sharded DP ran
-    #: (one task per worker per size class; 0 means the serial loop ran).
+    #: sequence (and why: "budget" or "relations"), and how many merge steps
+    #: the greedy join tree has.
     budget_exhausted: bool = False
     fallback_engaged: bool = False
     fallback_reason: str = ""
     greedy_merge_steps: int = 0
-    parallel_shards: int = 0
-
-    def merge(self, other: "EnumerationStatistics") -> None:
-        """Fold a shard worker's counters into this run's totals: counts
-        add, flags and the fallback reason keep the first one set."""
-        for name, mine in vars(self).items():
-            theirs = getattr(other, name)
-            setattr(self, name, (mine or theirs)
-                    if isinstance(mine, (bool, str)) else mine + theirs)
 
 
 class EnumerationSequenceCache(LruCache):
@@ -430,25 +420,17 @@ class JoinEnumerator:
     def optimize_table(self, base_table: Optional[PlanTable] = None) -> PlanTable:
         """Run the bottom-up DP over the mask-keyed memo and return it.
 
-        With ``settings.parallel_workers > 1`` the per-union plan lists of
-        each size class are sharded across a worker pool (the unions of one
-        class only read strictly smaller, already-merged entries, so they
-        partition cleanly); the serial loop and the sharded path produce
-        bit-identical memo contents.
+        The pairs arrive in canonical bottom-up order, so every pair reads
+        only plan lists of strictly smaller unions, already complete.
         """
         table = base_table if base_table is not None \
             else self.build_base_plan_table()
-        pairs = list(self.enumerate_join_pairs())
-        if self.settings.parallel_workers > 1 and len(pairs) > 1:
-            return self._optimize_table_sharded(table, pairs)
-        self._run_pairs(table, pairs, table)
+        self._run_pairs(table, self.enumerate_join_pairs())
         return table
 
-    def _run_pairs(self, table: PlanTable, pairs: Iterable[JoinPair],
-                   results: PlanTable) -> None:
-        """The DP loop: read sub-plans from ``table``, write each union's list
-        into ``results`` — ``table`` itself on the serial walk, a shard-local
-        table in a shard worker."""
+    def _run_pairs(self, table: PlanTable, pairs: Iterable[JoinPair]) -> None:
+        """The DP loop: read sub-plans from ``table`` and write each union's
+        list back into it."""
         for pair in pairs:
             self.stats.join_pairs_considered += 1
             if pair.is_cross_product:
@@ -457,16 +439,12 @@ class JoinEnumerator:
             inner_list = table.get(pair.inner_mask)
             if outer_list and inner_list:
                 self._dp_step(pair, outer_list, inner_list,
-                              results.target(pair.union_mask))
+                              table.target(pair.union_mask))
 
     def _dp_step(self, pair: JoinPair, outer_list: PlanList,
                  inner_list: PlanList, target: PlanList) -> None:
-        """One DP pair: every legal join of every sub-plan pair into ``target``.
-
-        Shared verbatim by the serial loop and the shard workers — the
-        bit-identical-to-serial guarantee of the sharded path rests on this
-        being the only implementation of the step.
-        """
+        """One DP pair: every legal join of every sub-plan pair into
+        ``target``, then Heuristic 7's cap on the target list."""
         self.stats.subplan_combinations += len(outer_list) * len(inner_list)
         join_type = self._join_type_for(pair)
         if join_type is not None:
@@ -633,100 +611,6 @@ class JoinEnumerator:
         stats.variants_constructed += built
         stats.plans_retained += built
 
-    # -- sharded DP -----------------------------------------------------------
-
-    def _optimize_table_sharded(self, table: PlanTable,
-                                pairs: Sequence[JoinPair]) -> PlanTable:
-        """Shard each size class's union masks across a worker pool.
-
-        Size classes are processed in ascending order with a barrier between
-        them: every pair of class *k* reads only plan lists of size ``< k``,
-        which are fully merged into the shared table before class *k* starts.
-        Within a class, whole unions (never single pairs) are dealt
-        round-robin to the workers, each worker walks its pairs in canonical
-        order, and the per-union :class:`PlanList` results are merged back in
-        canonical union order — so memo contents, plan-list ordering and
-        statistics (bar ``parallel_shards``) are identical to the serial loop.
-        """
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        workers = self.settings.parallel_workers
-        use_processes = self.settings.parallel_executor == "process"
-        size_classes: Dict[int, List[JoinPair]] = {}
-        for pair in pairs:
-            size_classes.setdefault(bin(pair.union_mask).count("1"),
-                                    []).append(pair)
-        if use_processes:
-            # The query context (catalog included — potentially hundreds of
-            # MB of column arrays) is shipped once per worker process via the
-            # initializer; per-shard payloads carry only the plan lists the
-            # shard reads plus its pairs.
-            pool_cm = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_process_shard_worker,
-                initargs=(self.catalog, self.query, self.settings,
-                          self.cost_model.params))
-        else:
-            pool_cm = ThreadPoolExecutor(max_workers=workers)
-        with pool_cm as pool:
-            for size in sorted(size_classes):
-                by_union: Dict[int, List[JoinPair]] = {}
-                for pair in size_classes[size]:
-                    by_union.setdefault(pair.union_mask, []).append(pair)
-                unions = list(by_union)
-                shards = [unions[start::workers] for start in range(workers)]
-                futures = []
-                for shard in shards:
-                    if not shard:
-                        continue
-                    shard_pairs = [pair for union in shard
-                                   for pair in by_union[union]]
-                    if use_processes:
-                        futures.append(pool.submit(
-                            _process_pool_shard,
-                            self._shard_input_lists(table, shard_pairs),
-                            shard_pairs))
-                    else:
-                        futures.append(pool.submit(
-                            self._thread_shard, table, shard_pairs))
-                merged: Dict[int, PlanList] = {}
-                for future in futures:
-                    shard_lists, shard_stats = future.result()
-                    self.stats.merge(shard_stats)
-                    self.stats.parallel_shards += 1
-                    merged.update(shard_lists)  # shard unions are disjoint
-                for union in unions:
-                    if union in merged:
-                        table.set(union, merged[union])
-        return table
-
-    def _thread_shard(self, table: PlanTable, shard_pairs: List[JoinPair],
-                      ) -> Tuple[Dict[int, PlanList], EnumerationStatistics]:
-        """Run one shard on a fresh enumerator clone sharing this one's
-        estimator/graph (reads of the shared table are safe: a shard only
-        reads size classes merged before it started)."""
-        worker = JoinEnumerator(self.catalog, self.query, self.estimator,
-                                self.cost_model, self.settings,
-                                self.join_graph)
-        return worker._run_shard(table, shard_pairs)
-
-    @staticmethod
-    def _shard_input_lists(table: PlanTable, shard_pairs: List[JoinPair],
-                           ) -> Dict[int, PlanList]:
-        """Only the plan lists a process shard's pairs actually read."""
-        needed = set()
-        for pair in shard_pairs:
-            needed.add(pair.outer_mask)
-            needed.add(pair.inner_mask)
-        return {mask: table.get(mask) for mask in needed
-                if table.get(mask) is not None}
-
-    def _run_shard(self, table: PlanTable, shard_pairs: List[JoinPair],
-                   ) -> Tuple[Dict[int, PlanList], EnumerationStatistics]:
-        """The DP loop over one shard's pairs, writing local targets."""
-        results = PlanTable()
-        self._run_pairs(table, shard_pairs, results)
-        return results.lists, self.stats
-
     def optimize(self, base_plan_lists: Optional[Dict[FrozenSet[str], PlanList]] = None,
                  ) -> Dict[FrozenSet[str], PlanList]:
         """Run bottom-up DP and return the plan list for every relation set."""
@@ -822,38 +706,3 @@ class JoinEnumerator:
                 properties=PlanProperties(distribution, child.pending_blooms))
             self._exchange_cache[cache_key] = node
         return node
-
-
-#: Per-process shard state installed by the pool initializer:
-#: (catalog, query, settings, cost model, shared estimator).
-_PROCESS_SHARD_STATE: Optional[Tuple] = None
-
-
-def _init_process_shard_worker(catalog: Catalog, query: QueryBlock,
-                               settings: BfCboSettings,
-                               cost_parameters: "CostParameters") -> None:
-    """Receive the pickled query context once per worker process.
-
-    The estimator is built here and shared by every shard the process runs,
-    so its selectivity caches warm up exactly once per worker.
-    """
-    global _PROCESS_SHARD_STATE
-    _PROCESS_SHARD_STATE = (catalog, query, settings,
-                            CostModel(cost_parameters),
-                            CardinalityEstimator(catalog, query))
-
-
-def _process_pool_shard(input_lists: Dict[int, PlanList],
-                        shard_pairs: List[JoinPair],
-                        ) -> Tuple[Dict[int, PlanList], EnumerationStatistics]:
-    """Process-pool entry point for one DP shard.
-
-    Estimates and costs are deterministic functions of the statistics, so a
-    process shard costs plans identically to a thread shard.  A fresh
-    enumerator per shard keeps the returned statistics scoped to this shard;
-    it runs at module level because bound methods of a live enumerator do
-    not pickle.
-    """
-    catalog, query, settings, cost_model, estimator = _PROCESS_SHARD_STATE
-    worker = JoinEnumerator(catalog, query, estimator, cost_model, settings)
-    return worker._run_shard(PlanTable(lists=dict(input_lists)), shard_pairs)

@@ -8,15 +8,15 @@ column references against the catalog.
 Every expression knows which relations (by alias) it references, can estimate
 nothing by itself (estimation lives in :mod:`repro.core.cardinality`), and can
 evaluate itself against a *column resolver* — a callable mapping a
-:class:`ColumnRef` to a numpy array — which is how the executor runs
-predicates and projections without the expression model knowing anything about
-physical storage.
+:class:`ColumnRef` to its column — which is how the executor runs predicates
+and projections without the expression model knowing anything about physical
+storage.
 
 NULL semantics (see ``docs/nulls.md``): evaluation follows SQL's three-valued
-logic.  The executor-facing entry point is :meth:`evaluate_masked`, which
-takes a *masked* resolver returning ``(values, null_mask)`` pairs — the mask
-is ``None`` for all-valid columns (the fast path, where evaluation is exactly
-the legacy vectorised code) or a boolean array with ``True`` marking NULLs.
+logic.  The one entry point is :meth:`evaluate_masked`, which takes a
+*masked* resolver returning ``(values, null_mask)`` pairs — the mask is
+``None`` for all-valid columns (the fast path, plain vectorised code) or a
+boolean array with ``True`` marking NULLs.
 Scalar expressions propagate NULL through arithmetic and comparisons;
 predicates use Kleene logic for AND/OR/NOT.  A predicate's value array means
 "definitely TRUE": rows whose truth value is NULL carry ``False`` there and
@@ -32,9 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-#: Legacy values-only resolver, still accepted by :meth:`evaluate`.
-ColumnResolver = Callable[["ColumnRef"], np.ndarray]
 
 #: Masked resolver used by the executor: maps a :class:`ColumnRef` to
 #: ``(values, null_mask)`` where ``null_mask`` is ``None`` for all-valid
@@ -55,16 +52,6 @@ def combine_null_masks(*masks: Optional[np.ndarray]) -> Optional[np.ndarray]:
             continue
         result = mask if result is None else (result | mask)
     return result
-
-
-def _adapt_resolver(resolve: ColumnResolver) -> MaskedColumnResolver:
-    """Wrap a values-only resolver into the masked protocol (no masks)."""
-
-    def resolve_masked(ref: "ColumnRef",
-                       ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        return resolve(ref), None
-
-    return resolve_masked
 
 
 def _is_scalar_null(mask: Optional[np.ndarray]) -> bool:
@@ -143,10 +130,6 @@ class ScalarExpression:
         positions are unspecified filler and must never be read as data.
         """
         raise NotImplementedError
-
-    def evaluate(self, resolve: ColumnResolver) -> np.ndarray:
-        """Values-only evaluation against a NULL-free resolver (legacy)."""
-        return self.evaluate_masked(_adapt_resolver(resolve))[0]
 
 
 @dataclass(frozen=True)
@@ -403,10 +386,6 @@ class Predicate:
                         ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Evaluate to a ``(definitely-true, unknown)`` mask pair."""
         raise NotImplementedError
-
-    def evaluate(self, resolve: ColumnResolver) -> np.ndarray:
-        """Boolean mask over a NULL-free batch (legacy values-only path)."""
-        return self.evaluate_masked(_adapt_resolver(resolve))[0]
 
 
 class ComparisonOp(enum.Enum):

@@ -14,7 +14,7 @@ touching optimizer code.  The default values mirror Section 4.1 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -72,34 +72,10 @@ class BfCboSettings:
     #: Relation count above which the exact walk is not even attempted and
     #: the greedy fallback is used directly; <= 0 means never.
     fallback_relation_threshold: int = 18
-    #: Worker count for sharding the bottom-up DP's per-union plan lists;
-    #: <= 1 runs the classic serial loop.
-    parallel_workers: int = 0
-    #: Worker pool flavour for the sharded DP: "thread" (default) or
-    #: "process" (each worker re-derives estimator state from the catalog).
-    parallel_executor: str = "thread"
-
-    def __post_init__(self) -> None:
-        if self.parallel_executor not in ("thread", "process"):
-            raise ValueError(
-                "parallel_executor must be 'thread' or 'process', got %r"
-                % (self.parallel_executor,))
 
     def with_overrides(self, **kwargs: object) -> "BfCboSettings":
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)
-
-    def plan_relevant(self) -> "BfCboSettings":
-        """A copy with plan-neutral execution knobs normalized away.
-
-        The sharded DP is bit-identical to the serial loop, so
-        ``parallel_workers`` / ``parallel_executor`` must not fragment
-        plan-cache keys: two sessions differing only in those knobs share
-        one cached plan.
-        """
-        if self.parallel_workers == 0 and self.parallel_executor == "thread":
-            return self
-        return replace(self, parallel_workers=0, parallel_executor="thread")
 
     @classmethod
     def disabled(cls) -> "BfCboSettings":

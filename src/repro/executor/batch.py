@@ -31,7 +31,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.expressions import ColumnRef, ColumnResolver, MaskedColumnResolver
+from ..core.expressions import ColumnRef, MaskedColumnResolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.table import Table
@@ -216,14 +216,6 @@ class Batch:
             return np.unique(values)
 
         return self.kernel_memo(("unique_valid", key), compute)
-
-    def resolver(self) -> ColumnResolver:
-        """Values-only column resolver (legacy NULL-oblivious evaluation)."""
-
-        def resolve(ref: ColumnRef) -> np.ndarray:
-            return self.column("%s.%s" % (ref.relation, ref.column))
-
-        return resolve
 
     def masked_resolver(self) -> MaskedColumnResolver:
         """Masked column resolver usable by three-valued evaluation."""

@@ -58,10 +58,8 @@ class ResultCache:
             catalog_epoch: int) -> Tuple[Hashable, ...]:
         """The canonical result-cache key for one request.
 
-        ``settings`` should be the *plan-relevant* resolved settings (the
-        same projection the plan cache keys on): execution is bit-identical
-        across parallel knobs, so sessions differing only in those share
-        one cached result.  ``catalog_epoch`` is the owner's
+        ``settings`` is the resolved planner settings, as the plan cache
+        keys on them.  ``catalog_epoch`` is the owner's
         full-invalidation counter — bumped on out-of-band catalog changes
         (making all older keys unreachable), *not* on table registration,
         which invalidates via :meth:`evict_table` so unrelated entries

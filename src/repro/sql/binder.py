@@ -172,7 +172,8 @@ class Binder:
             if isinstance(left, Literal) and isinstance(right, Literal):
                 if left.value is None or right.value is None:
                     return Literal(None)  # NULL propagates through arithmetic
-                value = Arithmetic(op, left, right).evaluate(lambda _: None)
+                value = Arithmetic(op, left, right).evaluate_masked(
+                    lambda _: None)[0]  # literal operands: never resolves
                 return Literal(value.item() if hasattr(value, "item") else value)
             return Arithmetic(op, left, right)
         if isinstance(node, ast.ExtractExpr):

@@ -1,15 +1,15 @@
 """Tests for adaptive large-join-graph planning (docs/enumeration.md).
 
-Covers the three coordinated pieces of the adaptive planner:
+Covers the two coordinated pieces of the adaptive planner:
 
 * the **budgeted DPccp walk** — `enumeration_budget` trips mid-walk,
   `fallback_relation_threshold` skips the walk entirely, and both are
   recorded in :class:`EnumerationStatistics`;
 * the **greedy fallback** (GOO, with IKKBZ linearization on acyclic graphs) —
   fallback plans cover every relation, keep cross-product stitching correct
-  on disconnected 3+-component graphs, and still feed BF-CBO's two phases;
-* **parallel DP sharding** — thread and process pools must produce memo
-  contents, plans and statistics identical to the serial loop.
+  on disconnected 3+-component graphs, and still feed BF-CBO's two phases.
+
+The planner knobs are set through ``BfCboSettings`` at every API level.
 """
 
 from __future__ import annotations
@@ -358,61 +358,6 @@ class TestFallbackKeepsBfCboWorking:
         assert fallback.estimated_cost <= exact.estimated_cost * 1.05
 
 
-class TestParallelSharding:
-    def _stats_tuple(self, stats):
-        return (stats.join_pairs_considered, stats.subplan_combinations,
-                stats.plans_retained, stats.plans_rejected_bloom_constraint,
-                stats.heuristic7_pruned, stats.cross_products_stitched,
-                stats.variants_costed, stats.variants_constructed)
-
-    @pytest.mark.parametrize("topology,size", [("chain", 8), ("star", 7),
-                                               ("clique", 5)])
-    def test_thread_sharding_is_identical_to_serial(self, topology, size):
-        query = build_topology_query(size, topology)
-        catalog = build_topology_catalog(size, topology)
-        serial = make_enumerator(catalog, query, EXACT)
-        serial_table = serial.optimize_table()
-        sharded = make_enumerator(catalog, query, EXACT.with_overrides(
-            parallel_workers=4))
-        sharded_table = sharded.optimize_table()
-        assert sharded.stats.parallel_shards > 0
-        assert self._stats_tuple(sharded.stats) == \
-            self._stats_tuple(serial.stats)
-        assert list(sharded_table.lists) == list(serial_table.lists)
-        for mask, serial_list in serial_table.items():
-            sharded_list = sharded_table.get(mask)
-            assert [explain(p) for p in sharded_list] == \
-                [explain(p) for p in serial_list]
-
-    def test_process_sharding_is_identical_to_serial(self):
-        query = build_topology_query(5, "chain")
-        catalog = build_topology_catalog(5, "chain")
-        serial = make_enumerator(catalog, query, EXACT)
-        serial_best = serial.optimize_table().get(
-            serial.join_graph.all_mask).best()
-        sharded = make_enumerator(catalog, query, EXACT.with_overrides(
-            parallel_workers=2, parallel_executor="process"))
-        sharded_best = sharded.optimize_table().get(
-            sharded.join_graph.all_mask).best()
-        assert sharded.stats.parallel_shards > 0
-        assert self._stats_tuple(sharded.stats) == \
-            self._stats_tuple(serial.stats)
-        assert serial.stats.variants_costed > 0
-        assert explain(sharded_best) == explain(serial_best)
-
-    def test_sharding_composes_with_bfcbo(self, running_example_catalog,
-                                          running_example_query):
-        optimizer = Optimizer(running_example_catalog)
-        serial = optimizer.optimize(running_example_query,
-                                    OptimizerMode.BF_CBO)
-        sharded = optimizer.optimize(
-            running_example_query, OptimizerMode.BF_CBO,
-            BfCboSettings.paper_defaults().with_overrides(
-                parallel_workers=3))
-        assert explain(sharded.plan) == explain(serial.plan)
-        assert sharded.num_bloom_filters == serial.num_bloom_filters
-
-
 class TestApiOverrides:
     def _catalog(self):
         query = make_query(3, [(0, 1), (1, 2)])
@@ -421,11 +366,9 @@ class TestApiOverrides:
     def test_database_settings_reach_the_plan(self):
         catalog, query = self._catalog()
         db = Database(catalog, settings=BfCboSettings(
-            enumeration_budget=7, parallel_workers=2,
-            fallback_relation_threshold=5, parallel_executor="thread"))
+            enumeration_budget=7, fallback_relation_threshold=5))
         settings = db.resolve_settings(OptimizerMode.NO_BF, None)
         assert settings.enumeration_budget == 7
-        assert settings.parallel_workers == 2
         assert settings.fallback_relation_threshold == 5
         result = db.connect(mode=OptimizerMode.NO_BF).plan(query)
         assert result.settings.enumeration_budget == 7
@@ -454,15 +397,6 @@ class TestApiOverrides:
         assert not greedy.from_plan_cache
         assert db.cache_stats().plan_misses == 2
 
-    def test_invalid_parallel_executor_fails_at_construction(self):
-        catalog, _ = self._catalog()
-        with pytest.raises(ValueError):
-            Database(catalog, settings=BfCboSettings(
-                parallel_executor="porcess"))
-        with pytest.raises(ValueError):
-            Database(catalog).connect(settings=BfCboSettings(
-                parallel_executor="porcess"))
-
     def test_call_settings_beat_database_settings(self):
         catalog, query = self._catalog()
         db = Database(catalog, settings=BfCboSettings(enumeration_budget=1))
@@ -474,17 +408,10 @@ class TestApiOverrides:
         assert budgeted.settings.enumeration_budget == 1
         assert budgeted.optimization.enumeration_stats.fallback_engaged
 
-    def test_invalid_parallel_executor_is_rejected(self):
-        with pytest.raises(ValueError):
-            BfCboSettings.disabled().with_overrides(
-                parallel_executor="processes")
-
-    def test_parallel_knobs_do_not_fragment_the_plan_cache(self):
-        # The sharded DP is bit-identical to serial, so sessions differing
-        # only in parallel knobs must share one cached plan.
-        catalog, query = self._catalog()
-        db = Database(catalog)
-        db.connect(mode=OptimizerMode.NO_BF).plan(query)
-        sharded = db.connect(mode=OptimizerMode.NO_BF, settings=BfCboSettings(
-            parallel_workers=4)).plan(query)
-        assert sharded.from_plan_cache
+    def test_removed_parallel_knobs_are_rejected(self):
+        # A settings object naming a knob that no longer exists must fail
+        # loudly, not plan as if it had been honoured.
+        with pytest.raises(TypeError):
+            BfCboSettings(parallel_workers=2)
+        with pytest.raises(TypeError):
+            BfCboSettings(parallel_executor="thread")

@@ -250,12 +250,15 @@ class TestWorkerSharedMutation:
 
     @pytest.mark.parametrize("dispatch", [
         "self._segment_map(self.work, spans)",
+        "self._segment_map(fn=self.work, items=spans)",
         "self._map_spans(spans, self.work)",
-    ], ids=["_segment_map", "_map_spans"])
+        "self._map_spans(spans, local=self.work)",
+    ], ids=["_segment_map", "_segment_map-keyword", "_map_spans",
+            "_map_spans-keyword"])
     def test_segment_map_dispatch_is_covered(self, dispatch):
         # The runtime's dispatchers hand their callable to workers too (the
-        # span dispatcher takes it second), so a mutation reachable from it
-        # is flagged.
+        # span dispatcher takes it second), by position or by keyword, so a
+        # mutation reachable from it is flagged.
         findings = findings_for("""
             class Runtime:
                 def run(self, spans: list) -> list:

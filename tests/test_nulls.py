@@ -49,6 +49,11 @@ def masked_resolver(columns):
     return resolve
 
 
+def values_of(expr, resolve):
+    """The values of ``expr`` over a resolver that returns no null masks."""
+    return expr.evaluate_masked(lambda ref: (resolve(ref), None))[0]
+
+
 class TestThreeValuedLogic:
     """Kleene truth tables.  Encoding: (value, null) with null dominant."""
 
@@ -135,10 +140,10 @@ class TestScalarNullPropagation:
         assert list(is_true) == [True, False, False]
         assert list(null) == [False, True, True]
 
-    def test_legacy_values_only_evaluate_still_works(self):
+    def test_mask_free_resolver_evaluates(self):
         resolve = lambda ref: np.asarray([1.0, 2.0, 3.0])
         pred = Comparison(ComparisonOp.LE, ColumnRef("t", "x"), Literal(2.0))
-        assert list(pred.evaluate(resolve)) == [True, True, False]
+        assert list(values_of(pred, resolve)) == [True, True, False]
 
 
 class TestSqlFrontend:
