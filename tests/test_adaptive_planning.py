@@ -14,6 +14,10 @@ The planner knobs are set through ``BfCboSettings`` at every API level.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import pathlib
+
 import pytest
 
 from repro.api import Database, Session
@@ -358,6 +362,47 @@ class TestFallbackKeepsBfCboWorking:
         assert fallback.estimated_cost <= exact.estimated_cost * 1.05
 
 
+class TestSerialDp:
+    @pytest.mark.parametrize("topology,size", [("chain", 8), ("star", 7),
+                                               ("clique", 5)])
+    def test_serial_dp_is_repeatable(self, topology, size):
+        # The DP keeps no state between calls: two walks over the same query
+        # build the same memo, the same plans and the same statistics.
+        query = build_topology_query(size, topology)
+        catalog = build_topology_catalog(size, topology)
+        first = make_enumerator(catalog, query, EXACT)
+        first_table = first.optimize_table()
+        second = make_enumerator(catalog, query, EXACT)
+        second_table = second.optimize_table()
+        assert first.stats.variants_costed > 0
+        assert dataclasses.asdict(second.stats) == \
+            dataclasses.asdict(first.stats)
+        assert list(second_table.lists) == list(first_table.lists)
+        for mask, first_list in first_table.items():
+            assert [explain(p) for p in second_table.get(mask)] == \
+                [explain(p) for p in first_list]
+
+    def test_planner_builds_no_worker_pools(self):
+        # Planning runs on the caller's thread; the only worker pools are
+        # the executor's, which MorselPools owns and counts.
+        import repro.core
+
+        banned = ("concurrent", "multiprocessing")
+        offenders = []
+        for path in sorted(pathlib.Path(repro.core.__file__).parent
+                           .glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += ["%s: %s" % (path.name, name) for name in names
+                              if name.split(".")[0] in banned]
+        assert offenders == []
+
+
 class TestApiOverrides:
     def _catalog(self):
         query = make_query(3, [(0, 1), (1, 2)])
@@ -396,6 +441,19 @@ class TestApiOverrides:
         # Different resolved settings: the second plan must be a cache miss.
         assert not greedy.from_plan_cache
         assert db.cache_stats().plan_misses == 2
+
+    def test_equal_settings_share_one_cached_plan(self):
+        # The key holds the resolved settings by value: equal settings built
+        # separately must find the same entry.
+        catalog, query = self._catalog()
+        db = Database(catalog)
+        first = db.connect(mode=OptimizerMode.NO_BF, settings=BfCboSettings(
+            fallback_relation_threshold=2)).plan(query)
+        second = db.connect(mode=OptimizerMode.NO_BF, settings=BfCboSettings(
+            fallback_relation_threshold=2)).plan(query)
+        assert not first.from_plan_cache
+        assert second.from_plan_cache
+        assert second.optimization is first.optimization
 
     def test_call_settings_beat_database_settings(self):
         catalog, query = self._catalog()

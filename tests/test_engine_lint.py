@@ -248,6 +248,21 @@ class TestWorkerSharedMutation:
         """)
         assert rules_of(findings) == {"worker-shared-mutation"}
 
+    def test_thread_map_keyword_dispatch_is_covered(self):
+        # The callable passed by its parameter name is a worker entry point
+        # as well.
+        findings = findings_for("""
+            class Runtime:
+                def run(self, pools: object, spans: list) -> list:
+                    return pools.thread_map(fn=self.work, items=spans,
+                                            cancel=None, workers=4)
+
+                def work(self, span: int) -> int:
+                    self.hits += 1
+                    return span
+        """)
+        assert rules_of(findings) == {"worker-shared-mutation"}
+
     @pytest.mark.parametrize("dispatch", [
         "self._segment_map(self.work, spans)",
         "self._segment_map(fn=self.work, items=spans)",

@@ -452,6 +452,19 @@ class TestResultCache:
         other_mode = session.execute(Q_JOIN, OptimizerMode.BF_CBO)
         assert not other_mode.from_result_cache
 
+    def test_settings_are_part_of_the_key(self, cached_db):
+        from repro.api import BfCboSettings
+
+        session = cached_db.connect()
+        session.execute(Q_JOIN, settings=BfCboSettings(enumeration_budget=0))
+        other = session.execute(Q_JOIN,
+                                settings=BfCboSettings(enumeration_budget=1))
+        assert not other.from_result_cache
+        # Equal settings built anew hit the entry stored under the first.
+        again = session.execute(Q_JOIN,
+                                settings=BfCboSettings(enumeration_budget=0))
+        assert again.from_result_cache
+
     def test_clear_caches_drops_results(self, cached_db):
         session = cached_db.connect()
         session.execute(Q_ITEMS)

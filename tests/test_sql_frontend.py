@@ -173,6 +173,16 @@ class TestBinder:
         assert isinstance(predicate.right, Literal)
         assert predicate.right.value == date_to_int(1994, 1, 1) + 365
 
+    def test_arithmetic_constant_folding(self, tpch_catalog):
+        query = bind_sql(tpch_catalog, """
+            select count(*) from orders where o_orderkey < 2 * 3 + 1
+        """)
+        predicate = query.predicates_for("orders")[0]
+        # Arithmetic evaluates in float64; the folded literal is a plain
+        # Python scalar, not a numpy one.
+        assert predicate.right == Literal(7.0)
+        assert type(predicate.right.value) is float
+
     def test_aggregate_binding(self, tpch_catalog):
         query = bind_sql(tpch_catalog, """
             select l_shipmode, count(*) as cnt, sum(l_quantity) as qty
